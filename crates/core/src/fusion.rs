@@ -17,7 +17,15 @@
 //! coordination layer where S+Net (arXiv:1306.2743) argues such
 //! controls belong.
 //!
-//! **Fault semantics are preserved per stage.** [`chain_step`] resolves
+//! Fusion only ever merges runs of two or more: a lone box or filter
+//! stays a single spec node. The engines nonetheless *run* every box,
+//! filter and fused chain the same way — a singleton is a one-stage
+//! chain — so [`run_chain`] is the only code in the two local engines
+//! that applies box/filter semantics, fault policy and trace tallies
+//! (the reference interpreter and the simulated-time `snet-dist`
+//! engine keep their own paths).
+//!
+//! **Fault semantics are preserved per stage.** [`run_chain`] resolves
 //! the failure policy per original [`BoxDef`]
 //! ([`BoxDef::effective_policy`]), mints dead letters that name the
 //! original component (box name, or `"filter"`), retries only the
@@ -32,7 +40,7 @@ use crate::fault::{self, DeadLetter, FailurePolicy, StepVerdict};
 use crate::filter::FilterSpec;
 use crate::pattern::Pattern;
 use crate::record::Record;
-use crate::semantics::{self, MismatchPolicy};
+use crate::semantics::{self, MismatchPolicy, StepOut};
 use crate::topology::NetSpec;
 use crate::SnetError;
 use std::fmt;
@@ -88,7 +96,9 @@ impl fmt::Display for ChainStage {
 ///   wrappers are looked through (they carry no semantics), and
 ///   consecutive box/filter elements are grouped into maximal runs;
 /// * runs of length ≥ 2 become a [`NetSpec::FusedChain`]; singletons
-///   stay as they are;
+///   stay single [`NetSpec::Box`] / [`NetSpec::Filter`] nodes (the
+///   engines run them as one-stage chains, so there is nothing to gain
+///   from wrapping them);
 /// * every other combinator ([`NetSpec::Sync`], [`NetSpec::Parallel`],
 ///   [`NetSpec::Star`], [`NetSpec::Split`], [`NetSpec::At`]) is a
 ///   fusion **boundary**: it stays in place (placement annotations
@@ -173,10 +183,9 @@ fn fuse_boundary(spec: NetSpec) -> NetSpec {
     }
 }
 
-/// Trace deltas accumulated while a record traverses a fused chain;
-/// engines fold them into their own counters after each
-/// [`ChainRunner::step`] so fused and unfused runs report identical
-/// traces.
+/// Trace deltas accumulated while records traverse a chain; engines
+/// fold them into their own counters after each [`run_chain`] call, so
+/// fused and unfused runs report identical traces.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ChainTally {
     /// Records fed through box stages (matched only).
@@ -192,14 +201,166 @@ pub struct ChainTally {
     pub retries: u64,
 }
 
-/// Reusable scratch state for driving records through a fused chain.
+/// Drives the records in `cur` through `stages` *stage-major*, appending
+/// the chain's final outputs to `out` after whatever it already holds.
 ///
-/// The two ping-pong buffers are the chain's only allocation and are
-/// reused across records, so the steady-state hot path allocates
-/// nothing beyond what the stages themselves produce. [`new`] draws
-/// the buffers from [`crate::pool`] and `Drop` returns them, so even
-/// runner churn (one per chain task, per threaded-engine stage thread)
-/// recycles warmed capacity instead of mallocing.
+/// Both local engines run every box, filter and fused chain through
+/// it (a lone box or filter is a one-stage chain). Every queued record
+/// advances through stage `k` before stage `k + 1` runs; each stage is
+/// an order-preserving per-record map-concat, so this is observably
+/// identical to pushing the records through one at a time.
+///
+/// `cur` and `next` are caller-owned ping-pong buffers, and `next` must
+/// be empty on entry: records move from `cur` into `next` at every
+/// stage but the last, which writes straight into `out`. On success
+/// both are left empty, and a one-stage chain never touches `next` at
+/// all. On error their contents are unspecified.
+///
+/// Stage semantics are *identical* to the unfused components: the
+/// policy is resolved per stage (per-box override first, engine default
+/// otherwise; filters follow the engine default), panics are contained
+/// and attributed to the stage that raised them, retries re-run only
+/// the failing stage on the record as it arrived there, and diverted
+/// records go to `divert` carrying the stage's component name. A fatal
+/// verdict aborts the chain (the run). Counter deltas land in `tally`.
+///
+/// `FailFast` stages — the default configuration — call the step
+/// semantics directly under *one* panic guard per call instead of one
+/// per stage and record: under `FailFast` any panic or error is fatal
+/// to the run either way, so a single catch observing the currently
+/// running stage reports exactly what a per-stage guard would. Lenient
+/// stages go through [`fault::policy_step`], which owns the
+/// clone/retry machinery.
+#[allow(clippy::too_many_arguments)] // the per-engine step context
+pub fn run_chain(
+    stages: &[ChainStage],
+    engine_policy: FailurePolicy,
+    mismatch: MismatchPolicy,
+    seq: &AtomicU64,
+    cur: &mut Vec<Record>,
+    next: &mut Vec<Record>,
+    tally: &mut ChainTally,
+    out: &mut Vec<Record>,
+    divert: &mut dyn FnMut(Box<DeadLetter>) -> Result<(), SnetError>,
+) -> Result<(), SnetError> {
+    // Which stage is currently executing *outside* a per-stage guard;
+    // the outer catch below uses it for fault attribution.
+    let mut active: Option<&str> = None;
+    let caught = {
+        let active = &mut active;
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let last = stages.len().saturating_sub(1);
+            for (k, stage) in stages.iter().enumerate() {
+                let dst = if k == last { &mut *out } else { &mut *next };
+                for r in cur.drain(..) {
+                    match stage {
+                        ChainStage::Box(def)
+                            if matches!(
+                                def.effective_policy(engine_policy),
+                                FailurePolicy::FailFast
+                            ) =>
+                        {
+                            *active = Some(&def.sig.name);
+                            let step = semantics::box_step(def, r, mismatch)?;
+                            *active = None;
+                            count_step(stage, &step, 1, tally);
+                            dst.extend(step.records);
+                        }
+                        ChainStage::Filter(f)
+                            if matches!(engine_policy, FailurePolicy::FailFast) =>
+                        {
+                            *active = Some("filter");
+                            let step = semantics::filter_step(f, r, mismatch)?;
+                            *active = None;
+                            count_step(stage, &step, 1, tally);
+                            dst.extend(step.records);
+                        }
+                        _ => lenient_step(
+                            stage,
+                            r,
+                            engine_policy,
+                            mismatch,
+                            seq,
+                            tally,
+                            dst,
+                            divert,
+                        )?,
+                    }
+                }
+                if k < last {
+                    std::mem::swap(cur, next);
+                }
+            }
+            // A zero-stage chain is the identity.
+            out.append(cur);
+            Ok(())
+        }))
+    };
+    match caught {
+        Ok(res) => res,
+        Err(payload) => Err(SnetError::BoxFailure {
+            name: active.unwrap_or("fused-chain").to_owned(),
+            cause: format!("panicked: {}", crate::panic_cause(payload.as_ref())),
+        }),
+    }
+}
+
+/// Applies a stage whose policy is not `FailFast` to one record through
+/// [`fault::policy_step`], appending its outputs to `dst`.
+#[allow(clippy::too_many_arguments)]
+fn lenient_step(
+    stage: &ChainStage,
+    rec: Record,
+    engine_policy: FailurePolicy,
+    mismatch: MismatchPolicy,
+    seq: &AtomicU64,
+    tally: &mut ChainTally,
+    dst: &mut Vec<Record>,
+    divert: &mut dyn FnMut(Box<DeadLetter>) -> Result<(), SnetError>,
+) -> Result<(), SnetError> {
+    let policy = match stage {
+        ChainStage::Box(def) => def.effective_policy(engine_policy),
+        // Filter errors are deterministic, so Retry degenerates to
+        // FailFast inside `policy_step` (only `BoxFailure` retries).
+        ChainStage::Filter(_) => engine_policy,
+    };
+    let verdict = fault::policy_step(policy, stage.component_name(), seq, rec, |r| match stage {
+        ChainStage::Box(def) => semantics::box_step(def, r, mismatch),
+        ChainStage::Filter(f) => semantics::filter_step(f, r, mismatch),
+    });
+    match verdict {
+        StepVerdict::Out { step, attempts } => {
+            count_step(stage, &step, attempts, tally);
+            dst.extend(step.records);
+            Ok(())
+        }
+        StepVerdict::Dead(dl) => divert(dl),
+        StepVerdict::Fatal(e) => Err(e),
+    }
+}
+
+/// Charges one completed stage step to `tally`.
+fn count_step(stage: &ChainStage, step: &StepOut, attempts: u32, tally: &mut ChainTally) {
+    match stage {
+        ChainStage::Box(_) => {
+            tally.retries += u64::from(attempts - 1);
+            if step.matched {
+                tally.box_records += 1;
+                tally.box_ops += step.work.ops;
+            } else {
+                tally.passthroughs += 1;
+            }
+        }
+        ChainStage::Filter(_) if step.matched => tally.filter_records += 1,
+        ChainStage::Filter(_) => tally.passthroughs += 1,
+    }
+}
+
+/// A pair of reusable ping-pong buffers over [`run_chain`], for drivers
+/// that own no buffers of their own (benchmarks, tests).
+///
+/// [`new`] draws the buffers from [`crate::pool`] and `Drop` returns
+/// them, so runner churn recycles warmed capacity instead of mallocing.
 ///
 /// [`new`]: ChainRunner::new
 #[derive(Debug, Default)]
@@ -217,50 +378,8 @@ impl ChainRunner {
         }
     }
 
-    /// Drives one record through `stages`, appending the chain's final
-    /// outputs to `out`.
-    ///
-    /// Stage-by-stage semantics are *identical* to the unfused engines:
-    /// the policy is resolved per original component (per-box override
-    /// first, engine default otherwise), panics are contained and
-    /// attributed to the stage that raised them, retries re-run only the
-    /// failing stage on the record as it arrived there, and diverted
-    /// records go to `divert` carrying the original component name. A
-    /// fatal verdict aborts the whole chain (the run), exactly as it
-    /// aborts the whole run unfused. Counter deltas land in `tally`.
-    ///
-    /// `FailFast` stages — the default configuration — take a lean path
-    /// that calls the step semantics directly under *one* panic guard
-    /// per record instead of one per stage: under `FailFast` any panic
-    /// or error is fatal to the run either way, so a single catch
-    /// observing the currently running stage reports exactly what the
-    /// per-stage guard would. Lenient stages still go through
-    /// [`fault::policy_step`], which owns the clone/retry machinery.
-    #[allow(clippy::too_many_arguments)] // mirrors the per-engine step context
-    pub fn step(
-        &mut self,
-        stages: &[ChainStage],
-        engine_policy: FailurePolicy,
-        mismatch: MismatchPolicy,
-        seq: &AtomicU64,
-        rec: Record,
-        tally: &mut ChainTally,
-        out: &mut Vec<Record>,
-        divert: &mut dyn FnMut(Box<DeadLetter>) -> Result<(), SnetError>,
-    ) -> Result<(), SnetError> {
-        self.cur.clear();
-        self.next.clear();
-        self.cur.push(rec);
-        self.drive(stages, engine_policy, mismatch, seq, tally, out, divert)
-    }
-
-    /// Drives a whole hand-off batch through the chain *stage-major*:
-    /// every queued record advances through stage `k` before stage
-    /// `k + 1` runs. Each stage is an order-preserving per-record
-    /// map-concat, so this is observably identical to pushing the
-    /// records through one at a time — while the per-traversal costs
-    /// (buffer resets, the shared `FailFast` panic guard) are paid once
-    /// per batch instead of once per record.
+    /// Drives a batch of records through `stages` with [`run_chain`],
+    /// appending the chain's final outputs to `out`.
     #[allow(clippy::too_many_arguments)]
     pub fn step_batch(
         &mut self,
@@ -276,133 +395,17 @@ impl ChainRunner {
         self.cur.clear();
         self.next.clear();
         self.cur.extend(recs);
-        self.drive(stages, engine_policy, mismatch, seq, tally, out, divert)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn drive(
-        &mut self,
-        stages: &[ChainStage],
-        engine_policy: FailurePolicy,
-        mismatch: MismatchPolicy,
-        seq: &AtomicU64,
-        tally: &mut ChainTally,
-        out: &mut Vec<Record>,
-        divert: &mut dyn FnMut(Box<DeadLetter>) -> Result<(), SnetError>,
-    ) -> Result<(), SnetError> {
-        // Which stage is currently executing *outside* a per-stage
-        // guard; the outer catch below uses it for fault attribution.
-        let mut active: Option<&str> = None;
-        let caught = {
-            let active = &mut active;
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.run_stages(
-                    stages,
-                    engine_policy,
-                    mismatch,
-                    seq,
-                    tally,
-                    out,
-                    divert,
-                    active,
-                )
-            }))
-        };
-        match caught {
-            Ok(res) => res,
-            Err(payload) => Err(SnetError::BoxFailure {
-                name: active.unwrap_or("fused-chain").to_owned(),
-                cause: format!("panicked: {}", crate::panic_cause(payload.as_ref())),
-            }),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_stages<'a>(
-        &mut self,
-        stages: &'a [ChainStage],
-        engine_policy: FailurePolicy,
-        mismatch: MismatchPolicy,
-        seq: &AtomicU64,
-        tally: &mut ChainTally,
-        out: &mut Vec<Record>,
-        divert: &mut dyn FnMut(Box<DeadLetter>) -> Result<(), SnetError>,
-        active: &mut Option<&'a str>,
-    ) -> Result<(), SnetError> {
-        for stage in stages {
-            if self.cur.is_empty() {
-                break;
-            }
-            for r in self.cur.drain(..) {
-                match stage {
-                    ChainStage::Box(def) => {
-                        let policy = def.effective_policy(engine_policy);
-                        if matches!(policy, FailurePolicy::FailFast) {
-                            *active = Some(&def.sig.name);
-                            let step = semantics::box_step(def, r, mismatch)?;
-                            *active = None;
-                            if step.matched {
-                                tally.box_records += 1;
-                                tally.box_ops += step.work.ops;
-                            } else {
-                                tally.passthroughs += 1;
-                            }
-                            self.next.extend(step.records);
-                            continue;
-                        }
-                        let verdict = fault::policy_step(policy, &def.sig.name, seq, r, |r| {
-                            semantics::box_step(def, r, mismatch)
-                        });
-                        match verdict {
-                            StepVerdict::Out { step, attempts } => {
-                                tally.retries += u64::from(attempts - 1);
-                                if step.matched {
-                                    tally.box_records += 1;
-                                    tally.box_ops += step.work.ops;
-                                } else {
-                                    tally.passthroughs += 1;
-                                }
-                                self.next.extend(step.records);
-                            }
-                            StepVerdict::Dead(dl) => divert(dl)?,
-                            StepVerdict::Fatal(e) => return Err(e),
-                        }
-                    }
-                    ChainStage::Filter(f) => {
-                        if matches!(engine_policy, FailurePolicy::FailFast) {
-                            *active = Some("filter");
-                            let step = semantics::filter_step(f, r, mismatch)?;
-                            *active = None;
-                            if step.matched {
-                                tally.filter_records += 1;
-                            } else {
-                                tally.passthroughs += 1;
-                            }
-                            self.next.extend(step.records);
-                            continue;
-                        }
-                        let verdict = fault::policy_step(engine_policy, "filter", seq, r, |r| {
-                            semantics::filter_step(f, r, mismatch)
-                        });
-                        match verdict {
-                            StepVerdict::Out { step, .. } => {
-                                if step.matched {
-                                    tally.filter_records += 1;
-                                } else {
-                                    tally.passthroughs += 1;
-                                }
-                                self.next.extend(step.records);
-                            }
-                            StepVerdict::Dead(dl) => divert(dl)?,
-                            StepVerdict::Fatal(e) => return Err(e),
-                        }
-                    }
-                }
-            }
-            std::mem::swap(&mut self.cur, &mut self.next);
-        }
-        out.append(&mut self.cur);
-        Ok(())
+        run_chain(
+            stages,
+            engine_policy,
+            mismatch,
+            seq,
+            &mut self.cur,
+            &mut self.next,
+            tally,
+            out,
+            divert,
+        )
     }
 }
 
@@ -542,12 +545,12 @@ mod tests {
         let mut tally = ChainTally::default();
         let mut out = Vec::new();
         runner
-            .step(
+            .step_batch(
                 &stages,
                 FailurePolicy::FailFast,
                 MismatchPolicy::Forward,
                 &seq,
-                Record::new().with_field("x", Value::Int(39)),
+                [Record::new().with_field("x", Value::Int(39))],
                 &mut tally,
                 &mut out,
                 &mut |_| panic!("no diversions expected"),
@@ -577,12 +580,12 @@ mod tests {
         let mut out = Vec::new();
         let mut dead = Vec::new();
         runner
-            .step(
+            .step_batch(
                 &stages,
                 FailurePolicy::FailFast, // per-box override must win
                 MismatchPolicy::Forward,
                 &seq,
-                Record::new().with_field("x", Value::Int(0)),
+                [Record::new().with_field("x", Value::Int(0))],
                 &mut tally,
                 &mut out,
                 &mut |dl| {
@@ -598,5 +601,73 @@ mod tests {
         // `a` already incremented it.
         assert_eq!(dead[0].record.field("x").unwrap().as_int(), Some(1));
         assert_eq!(tally.box_records, 1); // only `a` matched-and-ran
+    }
+
+    #[test]
+    fn one_stage_chain_appends_to_out_in_order() {
+        let NetSpec::Box(def) = inc("a") else {
+            unreachable!("inc builds a box")
+        };
+        let stages = [ChainStage::Box(def)];
+        let seq = AtomicU64::new(0);
+        let mut cur: Vec<Record> = (10..13)
+            .map(|x| Record::new().with_field("x", Value::Int(x)))
+            .collect();
+        let mut next = Vec::new();
+        let mut out = vec![Record::new().with_field("x", Value::Int(0))];
+        let mut tally = ChainTally::default();
+        run_chain(
+            &stages,
+            FailurePolicy::FailFast,
+            MismatchPolicy::Forward,
+            &seq,
+            &mut cur,
+            &mut next,
+            &mut tally,
+            &mut out,
+            &mut |_| panic!("no diversions expected"),
+        )
+        .unwrap();
+        let xs: Vec<_> = out.iter().map(|r| r.field("x").unwrap().as_int()).collect();
+        assert_eq!(xs, [Some(0), Some(11), Some(12), Some(13)]);
+        assert!(cur.is_empty());
+        assert_eq!(next.capacity(), 0, "a one-stage chain never touches next");
+        assert_eq!(tally.box_records, 3);
+    }
+
+    #[test]
+    fn chain_whose_middle_stage_emits_nothing_yields_nothing() {
+        let sink = NetSpec::Box(BoxDef::from_fn(
+            BoxSig::parse("sink", &["x"], &[&["x"]]),
+            |_| Ok(BoxOutput::none(Work::ops(1))),
+        ));
+        let NetSpec::FusedChain { stages } = fuse(&NetSpec::pipeline([inc("a"), sink, inc("c")]))
+        else {
+            panic!("expected full fusion")
+        };
+        let seq = AtomicU64::new(0);
+        let mut cur: Vec<Record> = (0..4)
+            .map(|x| Record::new().with_field("x", Value::Int(x)))
+            .collect();
+        let mut next = Vec::new();
+        let mut out = Vec::new();
+        let mut tally = ChainTally::default();
+        run_chain(
+            &stages,
+            FailurePolicy::FailFast,
+            MismatchPolicy::Forward,
+            &seq,
+            &mut cur,
+            &mut next,
+            &mut tally,
+            &mut out,
+            &mut |_| panic!("no diversions expected"),
+        )
+        .unwrap();
+        assert!(out.is_empty());
+        assert!(cur.is_empty());
+        assert!(next.is_empty());
+        // `a` and `sink` ran on every record; `c` never saw one.
+        assert_eq!(tally.box_records, 8);
     }
 }

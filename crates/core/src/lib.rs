@@ -54,7 +54,7 @@ pub use error::{panic_cause, SnetError};
 pub use expr::{BinOp, TagExpr, UnOp};
 pub use fault::{DeadLetter, FailurePolicy, FailureReport, StepVerdict};
 pub use filter::{FilterSpec, OutItem, OutputTemplate};
-pub use fusion::{fuse, ChainRunner, ChainStage, ChainTally};
+pub use fusion::{fuse, run_chain, ChainRunner, ChainStage, ChainTally};
 pub use label::Label;
 pub use pattern::Pattern;
 pub use pool::PoolStats;

@@ -2,9 +2,10 @@
 //!
 //! The scheduled engine's steady state is a loop over the same handful
 //! of buffer shapes: a `Vec<Record>` drained out of a mailbox per
-//! activation, a `Vec<Record>` of coalesced outputs per producer port,
-//! the two ping-pong buffers inside a [`ChainRunner`], and the
-//! `VecDeque<Record>` backing every component mailbox. None of these
+//! activation (a chain task's input), the ping-pong scratch a
+//! multi-stage chain borrows for that activation, a `Vec<Record>` of
+//! coalesced outputs per producer port, and the `VecDeque<Record>`
+//! backing every component mailbox. None of these
 //! need to be *fresh* — they are cleared before reuse — yet before this
 //! module each run-task activation and each short-lived port paid the
 //! allocator for them. The S-Net-vs-CnC study (arXiv:1305.7167) calls
@@ -23,8 +24,6 @@
 //! so a one-off giant batch cannot pin its memory forever. Everything
 //! is best-effort: a miss simply allocates, a full pool simply drops,
 //! so correctness never depends on the pool.
-//!
-//! [`ChainRunner`]: crate::ChainRunner
 
 use crate::record::Record;
 use std::cell::RefCell;

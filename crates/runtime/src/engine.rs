@@ -20,9 +20,11 @@
 use crate::trace::Trace;
 use crossbeam_channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
-use snet_core::fault::{self, DeadLetter, FailurePolicy, StepVerdict};
+use snet_core::fault::{self, DeadLetter, FailurePolicy};
 use snet_core::semantics::{self, MismatchPolicy};
-use snet_core::{ChainRunner, ChainTally, NetSpec, Record, SnetError, SyncOutcome};
+use snet_core::{
+    run_chain, ChainStage, ChainTally, Diagnostic, NetSpec, RType, Record, SnetError, SyncOutcome,
+};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -33,10 +35,12 @@ use std::time::{Duration, Instant};
 /// abort flag and deadline.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
-/// Dead-letter channel capacity multiplier over `channel_capacity`:
-/// the stream is bounded (workers never block on it), sized so a
-/// consumer draining at output cadence never sees overflow.
-const DEAD_CAPACITY_FACTOR: usize = 16;
+/// Dead-letter channel capacity multiplier over `channel_capacity`,
+/// for both engines' streaming runs: the stream is bounded (workers
+/// never block on it — overflow is a fatal engine error instead of a
+/// stall), sized so a consumer draining at output cadence never sees
+/// overflow.
+pub(crate) const DEAD_CAPACITY_FACTOR: usize = 16;
 
 /// Engine tuning knobs (shared by the threaded and scheduled engines;
 /// each engine reads the knobs that apply to it).
@@ -82,31 +86,16 @@ pub struct EngineConfig {
     /// equivalent (same output multiset, traces, and fault
     /// attribution — see the `fusion_equivalence` property suite) and
     /// strictly cheaper on deep pipelines. Set `false` to run the
-    /// topology exactly as written (one task/thread per component),
-    /// e.g. to measure hand-off cost itself.
+    /// topology exactly as written: one task/thread per box or filter,
+    /// each a one-stage chain over the same
+    /// [`snet_core::fusion::run_chain`] record path, e.g. to measure
+    /// hand-off cost itself.
     pub fuse: bool,
-    /// Pin each scheduled-engine pool worker to a CPU core (worker `i`
-    /// → core `i % available cores`, Linux only, best-effort). Keeps a
-    /// fused task's record batches on the same cache hierarchy across
-    /// activations. Default `false` — shared CI runners and
-    /// container-restricted CPU sets make pinning a pessimization
-    /// there; opt in for dedicated hardware. The threaded engine
-    /// ignores it.
-    pub pin_workers: bool,
-    /// Run the static analyzer (`snet-analyze`) over the topology at
-    /// construction time as a pre-flight check. The check is sound for
-    /// *any* input stream (the entry type is unknown), so it only
-    /// rejects structural defects — today that is placement targets out
-    /// of range (`SNA006`, needs [`EngineConfig::nodes`]). A rejected
-    /// net reports [`SnetError::Analysis`] from `run_batch*` and fails
-    /// `start()`ed runs immediately. Default `true`; set `false` to
-    /// opt out. For the full shape-aware analysis, declare the entry
-    /// type via `with_entry_type`.
-    pub analyze: bool,
     /// Number of compute nodes available to the placement combinators
-    /// (`@ node`, `!@ tag`), used only by the pre-flight analyzer's
-    /// range check. `None` (default) disables the check — the local
-    /// engines ignore placement, so any node index runs fine here.
+    /// (`@ node`, `!@ tag`), used only by the construction-time
+    /// analyzer's range check (`SNA006`). `None` (default) disables
+    /// the check — the local engines ignore placement, so any node
+    /// index runs fine here.
     pub nodes: Option<u32>,
 }
 
@@ -120,32 +109,37 @@ impl Default for EngineConfig {
             policy: FailurePolicy::FailFast,
             deadline: None,
             fuse: true,
-            pin_workers: false,
-            analyze: true,
             nodes: None,
         }
     }
 }
 
-/// The analyzer configuration induced by an engine configuration.
-pub(crate) fn analyze_cfg(config: &EngineConfig) -> snet_analyze::AnalyzeConfig {
-    snet_analyze::AnalyzeConfig {
+/// Both engines' construction: the execution plan for `spec` (fused
+/// unless [`EngineConfig::fuse`] is off) and the error-severity
+/// findings of exactly one static analysis. With a declared `entry`
+/// type that is the full shape-aware analysis, whose exact-match
+/// proofs annotate the plan; without one it is the open pre-flight,
+/// sound for any input stream.
+pub(crate) fn plan(
+    spec: &NetSpec,
+    entry: Option<&RType>,
+    config: &EngineConfig,
+) -> (NetSpec, Vec<Diagnostic>) {
+    let mut plan = if config.fuse {
+        snet_core::fuse(spec)
+    } else {
+        spec.clone()
+    };
+    let cfg = snet_analyze::AnalyzeConfig {
         nodes: config.nodes,
         ..snet_analyze::AnalyzeConfig::default()
-    }
-}
-
-/// Pre-flight diagnostics for `spec` under `config`: the error-severity
-/// findings of the open-entry analysis, or nothing when the check is
-/// opted out.
-pub(crate) fn preflight(spec: &NetSpec, config: &EngineConfig) -> Vec<snet_core::Diagnostic> {
-    if !config.analyze {
-        return Vec::new();
-    }
-    snet_analyze::analyze_open(spec, &analyze_cfg(config))
-        .errors()
-        .cloned()
-        .collect()
+    };
+    let analysis = match entry {
+        Some(entry) => snet_analyze::analyze_and_annotate(&mut plan, entry, &cfg).0,
+        None => snet_analyze::analyze_open(spec, &cfg),
+    };
+    let errors = analysis.errors().cloned().collect();
+    (plan, errors)
 }
 
 /// Default scheduled-engine pool size: the `SNET_WORKERS` environment
@@ -175,10 +169,9 @@ pub struct Net {
     plan: NetSpec,
     config: EngineConfig,
     /// Error-severity findings of the construction-time pre-flight
-    /// analysis (empty when clean or when [`EngineConfig::analyze`] is
-    /// off). A non-empty list fails every run with
-    /// [`SnetError::Analysis`].
-    preflight: Vec<snet_core::Diagnostic>,
+    /// analysis (empty when clean). A non-empty list fails every run
+    /// with [`SnetError::Analysis`].
+    preflight: Vec<Diagnostic>,
 }
 
 impl Net {
@@ -189,12 +182,7 @@ impl Net {
 
     /// Wraps a topology with explicit configuration.
     pub fn with_config(spec: NetSpec, config: EngineConfig) -> Net {
-        let plan = if config.fuse {
-            snet_core::fuse(&spec)
-        } else {
-            spec.clone()
-        };
-        let preflight = preflight(&spec, &config);
+        let (plan, preflight) = plan(&spec, None, &config);
         Net {
             spec,
             plan,
@@ -214,18 +202,19 @@ impl Net {
     /// type checks ([`snet_core::boxdef::BoxDef::exact_input`]).
     pub fn with_entry_type(
         spec: NetSpec,
-        entry: &snet_core::RType,
+        entry: &RType,
         config: EngineConfig,
     ) -> Result<Net, SnetError> {
-        let mut net = Net::with_config(spec, config);
-        let (analysis, _annotated) =
-            snet_analyze::analyze_and_annotate(&mut net.plan, entry, &analyze_cfg(&config));
-        let errors: Vec<_> = analysis.errors().cloned().collect();
+        let (plan, errors) = plan(&spec, Some(entry), &config);
         if !errors.is_empty() {
             return Err(SnetError::Analysis(errors));
         }
-        net.preflight.clear();
-        Ok(net)
+        Ok(Net {
+            spec,
+            plan,
+            config,
+            preflight: Vec::new(),
+        })
     }
 
     /// The underlying topology.
@@ -234,8 +223,8 @@ impl Net {
     }
 
     /// The pre-flight diagnostics this net was constructed with (empty
-    /// when the analysis passed or was opted out).
-    pub fn preflight_diagnostics(&self) -> &[snet_core::Diagnostic] {
+    /// when the analysis passed).
+    pub fn preflight_diagnostics(&self) -> &[Diagnostic] {
         &self.preflight
     }
 
@@ -598,146 +587,12 @@ impl Shared {
     }
 }
 
-/// Emits records downstream; a send failure means downstream tore down
-/// (an error was recorded elsewhere) and the component should stop.
-/// Multi-record outputs are handed to the channel as one batch
-/// (`send_iter`): one lock window and one receiver wake per output set
-/// instead of one per record.
-fn send_all(tx: &Sender<Record>, records: impl IntoIterator<Item = Record>) -> bool {
-    tx.send_iter(records).is_ok()
-}
-
 /// Recursively instantiates `spec` between `input` and `output`.
 fn build(spec: &NetSpec, input: Receiver<Record>, output: Sender<Record>, sh: &Arc<Shared>) {
     match spec {
-        NetSpec::Box(def) => {
-            let def = def.clone();
-            let sh2 = Arc::clone(sh);
-            sh.spawn(&format!("box-{}", def.sig.name), move || {
-                let policy = def.effective_policy(sh2.config.policy);
-                for rec in input.iter() {
-                    if sh2.should_stop() {
-                        break;
-                    }
-                    // Box functions are user code: `policy_step`
-                    // contains panics and applies the failure policy.
-                    let verdict = fault::policy_step(policy, &def.sig.name, &sh2.seq, rec, |r| {
-                        semantics::box_step(&def, r, sh2.config.mismatch)
-                    });
-                    match verdict {
-                        StepVerdict::Out { step, attempts } => {
-                            if attempts > 1 {
-                                Trace::add(&sh2.trace.retries, u64::from(attempts - 1));
-                            }
-                            if step.matched {
-                                sh2.trace.count_box(step.work);
-                            } else {
-                                Trace::add(&sh2.trace.passthroughs, 1);
-                            }
-                            if !send_all(&output, step.records) {
-                                break;
-                            }
-                        }
-                        StepVerdict::Dead(dl) => {
-                            if !sh2.divert(dl) {
-                                break;
-                            }
-                        }
-                        StepVerdict::Fatal(e) => {
-                            sh2.fail(e);
-                            break;
-                        }
-                    }
-                }
-            });
-        }
-        NetSpec::Filter(f) => {
-            let f = f.clone();
-            let sh2 = Arc::clone(sh);
-            sh.spawn("filter", move || {
-                // Filters follow the engine policy; their errors are
-                // deterministic, so Retry degenerates to FailFast
-                // inside `policy_step` (only `BoxFailure` retries).
-                let policy = sh2.config.policy;
-                for rec in input.iter() {
-                    if sh2.should_stop() {
-                        break;
-                    }
-                    let verdict = fault::policy_step(policy, "filter", &sh2.seq, rec, |r| {
-                        semantics::filter_step(&f, r, sh2.config.mismatch)
-                    });
-                    match verdict {
-                        StepVerdict::Out { step, .. } => {
-                            if step.matched {
-                                Trace::add(&sh2.trace.filter_records, 1);
-                            } else {
-                                Trace::add(&sh2.trace.passthroughs, 1);
-                            }
-                            if !send_all(&output, step.records) {
-                                break;
-                            }
-                        }
-                        StepVerdict::Dead(dl) => {
-                            if !sh2.divert(dl) {
-                                break;
-                            }
-                        }
-                        StepVerdict::Fatal(e) => {
-                            sh2.fail(e);
-                            break;
-                        }
-                    }
-                }
-            });
-        }
-        NetSpec::FusedChain { stages } => {
-            // One thread for the whole chain: records traverse every
-            // stage in-thread, with no channel between stages. Fault
-            // attribution stays per stage inside `ChainRunner::step`.
-            let stages = stages.clone();
-            let sh2 = Arc::clone(sh);
-            sh.spawn("fused-chain", move || {
-                let mut runner = ChainRunner::new();
-                let mut outs = Vec::new();
-                for rec in input.iter() {
-                    if sh2.should_stop() {
-                        break;
-                    }
-                    let mut tally = ChainTally::default();
-                    let res = runner.step(
-                        &stages,
-                        sh2.config.policy,
-                        sh2.config.mismatch,
-                        &sh2.seq,
-                        rec,
-                        &mut tally,
-                        &mut outs,
-                        &mut |dl| {
-                            if sh2.divert(dl) {
-                                Ok(())
-                            } else {
-                                // Overflow already recorded by `divert`;
-                                // this error just unwinds the chain
-                                // (first recorded error wins).
-                                Err(SnetError::Engine("dead-letter overflow".into()))
-                            }
-                        },
-                    );
-                    sh2.trace.count_chain(&tally);
-                    match res {
-                        Ok(()) => {
-                            if !send_all(&output, std::mem::take(&mut outs)) {
-                                break;
-                            }
-                        }
-                        Err(e) => {
-                            sh2.fail(e);
-                            break;
-                        }
-                    }
-                }
-            });
-        }
+        NetSpec::Box(def) => spawn_chain(vec![ChainStage::Box(def.clone())], input, output, sh),
+        NetSpec::Filter(f) => spawn_chain(vec![ChainStage::Filter(f.clone())], input, output, sh),
+        NetSpec::FusedChain { stages } => spawn_chain(stages.clone(), input, output, sh),
         NetSpec::Sync(spec) => {
             let spec = spec.clone();
             let sh2 = Arc::clone(sh);
@@ -884,6 +739,61 @@ fn build(spec: &NetSpec, input: Receiver<Record>, output: Sender<Record>, sh: &A
             build(body, input, output, sh);
         }
     }
+}
+
+/// One thread for a box, a filter, or a fused chain (a lone box or
+/// filter is a one-stage chain): records traverse every stage in-thread
+/// through [`run_chain`], with no channel between stages and fault
+/// attribution per stage. The ping-pong and output buffers live as long
+/// as the thread, so the per-record path reuses their capacity.
+fn spawn_chain(
+    stages: Vec<ChainStage>,
+    input: Receiver<Record>,
+    output: Sender<Record>,
+    sh: &Arc<Shared>,
+) {
+    let sh2 = Arc::clone(sh);
+    sh.spawn("chain", move || {
+        let (mut cur, mut next, mut outs) = (Vec::new(), Vec::new(), Vec::new());
+        for rec in input.iter() {
+            if sh2.should_stop() {
+                break;
+            }
+            cur.push(rec);
+            let mut tally = ChainTally::default();
+            let res = run_chain(
+                &stages,
+                sh2.config.policy,
+                sh2.config.mismatch,
+                &sh2.seq,
+                &mut cur,
+                &mut next,
+                &mut tally,
+                &mut outs,
+                &mut |dl| {
+                    if sh2.divert(dl) {
+                        Ok(())
+                    } else {
+                        // Overflow already recorded by `divert`; this
+                        // error just unwinds the chain (first recorded
+                        // error wins).
+                        Err(SnetError::Engine("dead-letter overflow".into()))
+                    }
+                },
+            );
+            sh2.trace.count_chain(&tally);
+            if let Err(e) = res {
+                sh2.fail(e);
+                break;
+            }
+            // One `send_iter` per output set: one lock window and one
+            // receiver wake. An error means downstream tore down (the
+            // cause is recorded elsewhere).
+            if output.send_iter(outs.drain(..)).is_err() {
+                break;
+            }
+        }
+    });
 }
 
 /// One tap of a serial-replication star.

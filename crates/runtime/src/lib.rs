@@ -82,7 +82,11 @@
 //! task (one thread on the threaded engine): each activation runs its
 //! records through *all* stages back-to-back in two ping-pong buffers,
 //! so a depth-N pipeline costs zero mailbox hops, locks, or wakes
-//! between its stages instead of N−1 of each. Combinator boundaries
+//! between its stages instead of N−1 of each. Boxes and filters that
+//! stay unfused (singletons, or everything under `fuse: false`) run
+//! the same way, as one-stage chains: both engines apply box and
+//! filter semantics only through
+//! [`snet_core::fusion::run_chain`]. Combinator boundaries
 //! that can reorder, replicate, or synchronize records —
 //! parallel/split dispatch and merge, star unfolding, synchrocells —
 //! are never fused across; mailboxes remain exactly there, so the
@@ -97,7 +101,8 @@
 //! trace still counts per-stage `box_ops`/`filter_ops` via the chain
 //! tally, so fused and unfused runs are indistinguishable to
 //! observers. `EngineConfig { fuse: false, .. }` disables the rewrite
-//! and runs the chain stage-per-task — the equivalence property suite
+//! and runs the chain stage-per-task (a one-stage chain each) — the
+//! equivalence property suite
 //! (`fusion_equivalence.rs`) holds fused, unfused, and interpreter
 //! runs to the same output multisets, dead-letter multisets, and
 //! failure attributions. On the depth-16 pipeline benchmark the fused
@@ -147,20 +152,23 @@
 //! ## Static analysis
 //!
 //! Both concurrent engines run the `snet-analyze` abstract interpreter
-//! over the topology before executing it, at two levels of precision:
+//! over the topology exactly once, at construction, at one of two
+//! levels of precision:
 //!
-//! * **Open pre-flight** (on by default, [`EngineConfig::analyze`]):
-//!   `Net::with_config` / `SchedNet::with_config` analyze the spec with
-//!   an *open* entry type — no assumption about the input stream — so
-//!   only input-independent structural defects can fire. Today that is
-//!   SNA006 (`@node` placement outside [`EngineConfig::nodes`]). A
-//!   finding is reported as [`SnetError::Analysis`] from the first run
-//!   (`run_batch*`, or `finish()` on a started stream) rather than
-//!   panicking in the middle of one. `analyze: false` opts out.
+//! * **Open pre-flight** (`Net::with_config` /
+//!   `SchedNet::with_config`): the spec is analyzed with an *open*
+//!   entry type — no assumption about the input stream — so only
+//!   input-independent structural defects can fire. Today that is
+//!   SNA006 (`@node` placement outside [`EngineConfig::nodes`]; leave
+//!   `nodes` at `None` to skip the range check). A finding is reported
+//!   as [`SnetError::Analysis`] from the first run (`run_batch*`, or
+//!   `finish()` on a started stream) rather than panicking in the
+//!   middle of one.
 //! * **Entry-typed analysis** ([`Net::with_entry_type`] /
 //!   [`SchedNet::with_entry_type`]): given the input stream's record
-//!   type, construction runs the full shape analysis and *refuses to
-//!   build* a network with an error-severity finding — unroutable
+//!   type, construction runs the full shape analysis *instead of* the
+//!   open pre-flight and *refuses to build* a network with an
+//!   error-severity finding — unroutable
 //!   records at a parallel (SNA001), synchrocells that can never fire
 //!   (SNA003), splits not guaranteed their index tag (SNA004), filters
 //!   reading labels the input cannot carry (SNA005). Diagnostics carry
@@ -210,12 +218,12 @@
 //!    under ThreadSanitizer, and the `miri` lane runs the value/record
 //!    and smallvec layers under Miri for UB beyond data races.
 //! 3. **Unsafe audit**: the only crates allowed to contain `unsafe`
-//!    are the two shims with lock-free/inline-buffer internals, the
-//!    model checker, and this crate (one `libc::sched_setaffinity`
-//!    call). All of them `#![deny(unsafe_op_in_unsafe_fn)]`, every
-//!    unsafe block carries a `SAFETY:` comment, and
+//!    are the two shims with lock-free/inline-buffer internals and the
+//!    model checker. All of them `#![deny(unsafe_op_in_unsafe_fn)]`,
+//!    every unsafe block carries a `SAFETY:` comment, and
 //!    `scripts/check_unsafe.py` fails CI on any unsafe block without
-//!    one — or any unsafe in a crate outside that allowlist.
+//!    one — or any unsafe in a crate outside that allowlist. This
+//!    crate is `#![forbid(unsafe_code)]`.
 //! 4. **Interleaving stress**: the deque's `steal_race.rs` drives the
 //!    2- and 3-thread last-element races and growth/steal overlap with
 //!    barrier-released replays; the fault-injection harness churns the
@@ -235,9 +243,11 @@
 //!
 //! **Pooling** (`snet_core::pool`): the scheduled engine's steady state
 //! cycles a fixed set of buffer shapes — the `Vec<Record>` a task
-//! drains its mailbox into each activation, the coalescing buffer of
-//! every producer port, the two ping-pong buffers inside each fused
-//! chain's `ChainRunner`, the sink's delivery window, and the
+//! drains its mailbox into each activation (which is also a chain
+//! task's input), the ping-pong scratch a multi-stage chain's
+//! activation borrows, the coalescing buffer of every producer port
+//! (which a chain's last stage writes into), the sink's delivery
+//! window, and the
 //! `VecDeque<Record>` backing every mailbox. All of them are drawn from
 //! and returned to per-thread freelists (with a bounded cross-thread
 //! spill), so after warm-up an activation reuses warmed capacity
@@ -304,7 +314,7 @@
 //! assert_eq!(stream_one(&SchedNet::new(double), 21), 42);      // persistent worker pool
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod engine;
 pub mod faultinject;

@@ -48,18 +48,18 @@
 //! entry task drains, giving the same real backpressure as the threaded
 //! engine's bounded entry channel.
 
-use crate::engine::EngineConfig;
+use crate::engine::{EngineConfig, DEAD_CAPACITY_FACTOR};
 use crate::trace::Trace;
 use crossbeam_channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use crossbeam_deque::{Injector, Steal, Stealer, Worker};
 use parking_lot::Mutex;
-use snet_core::fault::{self, DeadLetter, StepVerdict};
+use snet_core::fault::{self, DeadLetter};
 use snet_core::panic_cause;
 use snet_core::pool;
 use snet_core::semantics::{self, MismatchPolicy};
 use snet_core::{
-    ChainRunner, ChainStage, ChainTally, Label, NetSpec, Pattern, Record, SnetError, SyncOutcome,
-    SyncSpec, SyncState,
+    run_chain, ChainStage, ChainTally, Diagnostic, Label, NetSpec, Pattern, RType, Record,
+    SnetError, SyncOutcome, SyncSpec, SyncState,
 };
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt;
@@ -103,12 +103,6 @@ const BACKOFF_MAX_SHIFT: u32 = 10;
 /// timeout only bounds how long a lost wakeup could strand the driver.
 const DONE_SAFETY_TIMEOUT: Duration = Duration::from_millis(500);
 
-/// Dead-letter channel capacity multiplier over `channel_capacity` for
-/// streaming runs (batch runs collect into a vector). Bounded so a
-/// worker never blocks on a lagging dead-letter consumer; overflow is
-/// a fatal engine error instead of a stall.
-const DEAD_CAPACITY_FACTOR: usize = 16;
-
 /// A compiled network executed on the work-stealing scheduler.
 ///
 /// The worker pool is **persistent**: it spawns lazily on the first
@@ -136,10 +130,9 @@ pub struct SchedNet {
     /// is provably impossible.
     diverts: bool,
     /// Error-severity findings of the construction-time pre-flight
-    /// analysis (empty when clean or when [`EngineConfig::analyze`] is
-    /// off). A non-empty list fails every run with
-    /// [`SnetError::Analysis`].
-    preflight: Vec<snet_core::Diagnostic>,
+    /// analysis (empty when clean). A non-empty list fails every run
+    /// with [`SnetError::Analysis`].
+    preflight: Vec<Diagnostic>,
     shared: Arc<Shared>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     spawned: AtomicUsize,
@@ -154,13 +147,17 @@ impl SchedNet {
     /// Wraps a topology with explicit configuration (worker count,
     /// mismatch policy, mailbox high-water mark, ingress capacity).
     pub fn with_config(spec: NetSpec, config: EngineConfig) -> SchedNet {
+        let (plan, preflight) = crate::engine::plan(&spec, None, &config);
+        SchedNet::from_plan(spec, plan, preflight, config)
+    }
+
+    fn from_plan(
+        spec: NetSpec,
+        plan: NetSpec,
+        preflight: Vec<Diagnostic>,
+        config: EngineConfig,
+    ) -> SchedNet {
         let diverts = spec.diverts_under(config.policy);
-        let plan = if config.fuse {
-            snet_core::fuse(&spec)
-        } else {
-            spec.clone()
-        };
-        let preflight = crate::engine::preflight(&spec, &config);
         SchedNet {
             spec,
             plan,
@@ -190,21 +187,14 @@ impl SchedNet {
     /// [`crate::Net::with_entry_type`]).
     pub fn with_entry_type(
         spec: NetSpec,
-        entry: &snet_core::RType,
+        entry: &RType,
         config: EngineConfig,
     ) -> Result<SchedNet, SnetError> {
-        let mut net = SchedNet::with_config(spec, config);
-        let (analysis, _annotated) = snet_analyze::analyze_and_annotate(
-            &mut net.plan,
-            entry,
-            &crate::engine::analyze_cfg(&config),
-        );
-        let errors: Vec<_> = analysis.errors().cloned().collect();
+        let (plan, errors) = crate::engine::plan(&spec, Some(entry), &config);
         if !errors.is_empty() {
             return Err(SnetError::Analysis(errors));
         }
-        net.preflight.clear();
-        Ok(net)
+        Ok(SchedNet::from_plan(spec, plan, Vec::new(), config))
     }
 
     /// The underlying topology.
@@ -213,8 +203,8 @@ impl SchedNet {
     }
 
     /// The pre-flight diagnostics this net was constructed with (empty
-    /// when the analysis passed or was opted out).
-    pub fn preflight_diagnostics(&self) -> &[snet_core::Diagnostic] {
+    /// when the analysis passed).
+    pub fn preflight_diagnostics(&self) -> &[Diagnostic] {
         &self.preflight
     }
 
@@ -236,19 +226,13 @@ impl SchedNet {
         let locals: Vec<Worker<Arc<Task>>> = (0..n).map(|_| Worker::new_fifo()).collect();
         let stealers: Arc<Vec<Stealer<Arc<Task>>>> =
             Arc::new(locals.iter().map(|w| w.stealer()).collect());
-        let pin = self.config.pin_workers;
         for (i, local) in locals.into_iter().enumerate() {
             let sh = Arc::clone(&self.shared);
             let stealers = Arc::clone(&stealers);
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("snet-sched-{i}"))
-                    .spawn(move || {
-                        if pin {
-                            pin_to_core(i);
-                        }
-                        worker_loop(i, local, &stealers, &sh)
-                    })
+                    .spawn(move || worker_loop(i, local, &stealers, &sh))
                     .expect("spawn sched worker"),
             );
         }
@@ -282,7 +266,6 @@ impl SchedNet {
         );
         let (out_tx, out_rx) = bounded(cap);
         let sink = Task::new(
-            "sink",
             State::Sink {
                 buf: pool::take_vec(),
                 dest: SinkDest::Stream(out_tx),
@@ -344,7 +327,6 @@ impl SchedNet {
         );
         let outputs = Arc::new(Mutex::new(Vec::new()));
         let sink = Task::new(
-            "sink",
             State::Sink {
                 buf: pool::take_vec(),
                 dest: SinkDest::Collect(Arc::clone(&outputs)),
@@ -538,7 +520,6 @@ impl Run {
 
 /// One component instance: mailbox + semantic state.
 struct Task {
-    label: &'static str,
     /// The run this task belongs to (trace, error slot, completion).
     run: Arc<Run>,
     mailbox: Mutex<VecDeque<Record>>,
@@ -559,17 +540,13 @@ struct Task {
 }
 
 enum State {
-    Box(snet_core::boxdef::BoxDef, Port),
-    Filter(snet_core::FilterSpec, Port),
-    /// A fused SISO chain: one task pushes each record through every
-    /// stage with zero mailbox hops. `runner` and `outs` are reusable
-    /// scratch, so the steady-state per-record path allocates nothing.
-    Chain {
-        stages: Vec<ChainStage>,
-        runner: ChainRunner,
-        outs: Vec<Record>,
-        out: Port,
-    },
+    /// A box, a filter, or a fused SISO chain of them (a lone box or
+    /// filter is a one-stage chain): each activation pushes its claimed
+    /// batch through every stage with zero mailbox hops. The task owns
+    /// no scratch: the activation's pooled input buffer is the chain
+    /// input and the last stage writes straight into `out`'s coalescing
+    /// buffer.
+    Chain { stages: Vec<ChainStage>, out: Port },
     Sync {
         spec: SyncSpec,
         st: SyncState,
@@ -594,10 +571,7 @@ enum State {
     },
     /// Terminal output collector; records coalesce in `buf` and move to
     /// `dest` once per batch/activation.
-    Sink {
-        buf: Vec<Record>,
-        dest: SinkDest,
-    },
+    Sink { buf: Vec<Record>, dest: SinkDest },
     /// Finalized: outputs closed, no further effects.
     Done,
 }
@@ -648,9 +622,8 @@ impl SinkDest {
 }
 
 impl Task {
-    fn new(label: &'static str, state: State, run: &Arc<Run>) -> Arc<Task> {
+    fn new(state: State, run: &Arc<Run>) -> Arc<Task> {
         Arc::new(Task {
-            label,
             run: Arc::clone(run),
             mailbox: Mutex::new(pool::take_deque()),
             ingress_cv: Condvar::new(),
@@ -818,36 +791,6 @@ impl Ord for Deferred {
     }
 }
 
-/// Best-effort worker→core pinning: worker `i` lands on core
-/// `i % cores` via a raw `sched_setaffinity` syscall binding (no
-/// external crate). Failure — a container-restricted cpuset, an
-/// exotic kernel — silently leaves the default affinity; pinning is a
-/// locality hint, never a correctness requirement.
-#[cfg(target_os = "linux")]
-fn pin_to_core(core: usize) {
-    extern "C" {
-        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
-    }
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let core = core % cores;
-    // `cpu_set_t` is 1024 bits (16 × u64) on every mainstream Linux ABI.
-    let mut set = [0u64; 16];
-    set[core / 64] |= 1 << (core % 64);
-    // SAFETY: FFI call with no preconditions beyond a valid buffer:
-    // `set` is a live, initialized stack array and `cpusetsize` is its
-    // exact byte length, matching the glibc signature. pid 0 means the
-    // calling thread, and the result is deliberately ignored (failure
-    // leaves the default affinity — pinning is best-effort).
-    unsafe {
-        let _ = sched_setaffinity(0, std::mem::size_of_val(&set), set.as_ptr());
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-fn pin_to_core(_core: usize) {}
-
 fn worker_loop(
     index: usize,
     local: Worker<Arc<Task>>,
@@ -860,8 +803,7 @@ fn worker_loop(
     let mut contended: Option<*const Task> = None;
     // The sibling we last stole from successfully; probed first on the
     // next steal (producers are bursty, so the victim that had work a
-    // moment ago likely still does — and under pinning, re-stealing
-    // from the same neighbour keeps the records on adjacent caches).
+    // moment ago likely still does).
     let mut last_victim: Option<usize> = None;
     loop {
         if sh.shutdown.load(Ordering::Acquire) {
@@ -1063,8 +1005,8 @@ fn find_task(
                 Steal::Empty => *last_victim = None,
             }
         }
-        // Ring scan from our own slot: under pinning, (index + 1) is
-        // the nearest neighbour, so the scan is nearest-first.
+        // Ring scan from our own slot, so siblings spread their probes
+        // over different victims.
         let n = stealers.len();
         for k in 1..n {
             let v = (index + k) % n;
@@ -1122,6 +1064,9 @@ fn run_task(
     // per batch used to mean one short-lived Vec per batch — in steady
     // state that is the hottest allocation in the engine.
     let mut inbuf = pool::PooledVec::take();
+    // The ping-pong partner of `inbuf` for multi-stage chains, drawn
+    // from the pool on first use; one-stage chains never touch it.
+    let mut scratch: Option<pool::PooledVec> = None;
     while processed < budget {
         if processed >= next_bp_check {
             // Mid-drain preemption point, amortized on the same stride
@@ -1150,28 +1095,29 @@ fn run_task(
         if task.ingress_waiters.load(Ordering::Acquire) > 0 {
             task.ingress_cv.notify_all();
         }
-        // Fused chains take the whole claimed batch in one stage-major
+        // Chains take the whole claimed batch in one stage-major
         // traversal (identical observable semantics, one panic guard
-        // and one buffer reset per batch instead of per record); every
-        // other state steps record-at-a-time.
-        if let State::Chain {
-            stages,
-            runner,
-            outs,
-            out,
-        } = &mut *state
-        {
+        // per batch instead of per record); every other state steps
+        // record-at-a-time.
+        if let State::Chain { stages, out } = &mut *state {
             let n = inbuf.len();
+            let mut no_scratch = Vec::new();
+            let next = if stages.len() > 1 {
+                &mut **scratch.get_or_insert_with(pool::PooledVec::take)
+            } else {
+                &mut no_scratch
+            };
             let mut tally = ChainTally::default();
             let run = &task.run;
-            let res = runner.step_batch(
+            let res = run_chain(
                 stages,
                 sh.config.policy,
                 sh.config.mismatch,
                 &run.seq,
-                inbuf.drain(..),
+                &mut inbuf,
+                next,
                 &mut tally,
-                outs,
+                &mut out.buf,
                 &mut |dl| run.divert(dl),
             );
             run.trace.count_chain(&tally);
@@ -1181,8 +1127,8 @@ fn run_task(
                 finalize(task, &mut state, sh, local);
                 return None;
             }
-            for r in outs.drain(..) {
-                out.send(r, batch, sh, local);
+            if out.buf.len() >= batch {
+                out.flush(sh, local);
             }
             processed += n;
         } else {
@@ -1277,10 +1223,7 @@ fn run_task(
 /// records, and the sink's buffered outputs into its destination.
 fn flush_outputs(state: &mut State, sh: &Shared, local: Option<&Worker<Arc<Task>>>) {
     match state {
-        State::Box(_, out)
-        | State::Filter(_, out)
-        | State::Chain { out, .. }
-        | State::Sync { out, .. } => {
+        State::Chain { out, .. } | State::Sync { out, .. } => {
             out.flush(sh, local);
         }
         State::Par { branches, out, .. } => {
@@ -1318,10 +1261,7 @@ fn flush_outputs(state: &mut State, sh: &Shared, local: Option<&Worker<Arc<Task>
 fn output_backpressured(state: &State, sh: &Shared) -> bool {
     let hw = sh.high_water();
     match state {
-        State::Box(_, out)
-        | State::Filter(_, out)
-        | State::Chain { out, .. }
-        | State::Sync { out, .. } => out.backlog() >= hw,
+        State::Chain { out, .. } | State::Sync { out, .. } => out.backlog() >= hw,
         State::Sink { buf, dest } => !buf.is_empty() && dest.is_full(),
         _ => false,
     }
@@ -1340,84 +1280,8 @@ fn step(
 ) -> Result<(), SnetError> {
     let batch = sh.config.batch.max(1);
     match state {
-        State::Box(def, out) => {
-            // Box functions are user code: `policy_step` contains
-            // panics and applies the failure policy (per-box override
-            // first, engine default otherwise).
-            let policy = def.effective_policy(sh.config.policy);
-            let verdict = fault::policy_step(policy, &def.sig.name, &run.seq, rec, |r| {
-                semantics::box_step(def, r, sh.config.mismatch)
-            });
-            match verdict {
-                StepVerdict::Out { step, attempts } => {
-                    if attempts > 1 {
-                        Trace::add(&run.trace.retries, u64::from(attempts - 1));
-                    }
-                    if step.matched {
-                        run.trace.count_box(step.work);
-                    } else {
-                        Trace::add(&run.trace.passthroughs, 1);
-                    }
-                    for r in step.records {
-                        out.send(r, batch, sh, local);
-                    }
-                    Ok(())
-                }
-                StepVerdict::Dead(dl) => run.divert(dl),
-                StepVerdict::Fatal(e) => Err(e),
-            }
-        }
-        State::Filter(spec, out) => {
-            // Filters follow the engine policy; their errors are
-            // deterministic, so Retry degenerates to FailFast inside
-            // `policy_step` (only `BoxFailure` retries).
-            let verdict = fault::policy_step(sh.config.policy, "filter", &run.seq, rec, |r| {
-                semantics::filter_step(spec, r, sh.config.mismatch)
-            });
-            match verdict {
-                StepVerdict::Out { step, .. } => {
-                    if step.matched {
-                        Trace::add(&run.trace.filter_records, 1);
-                    } else {
-                        Trace::add(&run.trace.passthroughs, 1);
-                    }
-                    for r in step.records {
-                        out.send(r, batch, sh, local);
-                    }
-                    Ok(())
-                }
-                StepVerdict::Dead(dl) => run.divert(dl),
-                StepVerdict::Fatal(e) => Err(e),
-            }
-        }
-        State::Chain {
-            stages,
-            runner,
-            outs,
-            out,
-        } => {
-            // The whole chain runs inside this activation; per-stage
-            // policy resolution, retries, panic containment and dead-
-            // letter attribution all happen inside `ChainRunner::step`
-            // (the same `policy_step` calls the unfused tasks make).
-            let mut tally = ChainTally::default();
-            let res = runner.step(
-                stages,
-                sh.config.policy,
-                sh.config.mismatch,
-                &run.seq,
-                rec,
-                &mut tally,
-                outs,
-                &mut |dl| run.divert(dl),
-            );
-            run.trace.count_chain(&tally);
-            res?;
-            for r in outs.drain(..) {
-                out.send(r, batch, sh, local);
-            }
-            Ok(())
-        }
+        // Chains take whole hand-off batches in `run_task`.
+        State::Chain { .. } => unreachable!("chain tasks never step record-at-a-time"),
         State::Sync { spec, st, out } => {
             match st.push(spec, rec) {
                 SyncOutcome::Stored => {
@@ -1475,7 +1339,6 @@ fn step(
                 // shares our exit stream.
                 Trace::add(&run.trace.star_unfoldings, 1);
                 let next_tap = Task::new(
-                    "star-tap",
                     State::Star {
                         body: body.clone(),
                         exit: exit.clone(),
@@ -1529,7 +1392,6 @@ fn step(
 /// the streaming sender (end-of-stream for the consumer) and wakes the
 /// driver's completion latch.
 fn finalize(task: &Arc<Task>, state: &mut State, sh: &Shared, local: Option<&Worker<Arc<Task>>>) {
-    let _ = task.label;
     // Retire the mailbox's backing storage (it is empty on every orderly
     // end-of-stream; abort paths cleared it). Stragglers that land after
     // teardown go into the fresh empty deque and are dropped with it.
@@ -1540,12 +1402,7 @@ fn finalize(task: &Arc<Task>, state: &mut State, sh: &Shared, local: Option<&Wor
     let old = std::mem::replace(state, State::Done);
     let close = |p: Port| p.close(sh, local);
     match old {
-        State::Box(_, out) | State::Filter(_, out) => close(out),
-        State::Chain { out, outs, .. } => {
-            // `runner` drops here and returns its ping-pong buffers.
-            pool::give_vec(outs);
-            close(out);
-        }
+        State::Chain { out, .. } => close(out),
         State::Sync { st, out, .. } => {
             let stranded = st.pending().count() as u64;
             if stranded > 0 {
@@ -1591,30 +1448,11 @@ fn finalize(task: &Arc<Task>, state: &mut State, sh: &Shared, local: Option<&Wor
 /// `output`, returning the subtree's input port.
 fn build(spec: &NetSpec, output: Port, run: &Arc<Run>) -> Port {
     match spec {
-        NetSpec::Box(def) => {
-            let t = Task::new("box", State::Box(def.clone(), output), run);
-            Port::new(&t)
-        }
-        NetSpec::Filter(f) => {
-            let t = Task::new("filter", State::Filter(f.clone(), output), run);
-            Port::new(&t)
-        }
-        NetSpec::FusedChain { stages } => {
-            let t = Task::new(
-                "fused-chain",
-                State::Chain {
-                    stages: stages.clone(),
-                    runner: ChainRunner::new(),
-                    outs: pool::take_vec(),
-                    out: output,
-                },
-                run,
-            );
-            Port::new(&t)
-        }
+        NetSpec::Box(def) => chain_task(vec![ChainStage::Box(def.clone())], output, run),
+        NetSpec::Filter(f) => chain_task(vec![ChainStage::Filter(f.clone())], output, run),
+        NetSpec::FusedChain { stages } => chain_task(stages.clone(), output, run),
         NetSpec::Sync(spec) => {
             let t = Task::new(
-                "sync",
                 State::Sync {
                     st: spec.new_state(),
                     spec: spec.clone(),
@@ -1635,7 +1473,6 @@ fn build(spec: &NetSpec, output: Port, run: &Arc<Run>) -> Port {
                 .map(|b| build(b, output.another(), run))
                 .collect();
             let t = Task::new(
-                "par-dispatch",
                 State::Par {
                     patterns,
                     branches: ports,
@@ -1647,7 +1484,6 @@ fn build(spec: &NetSpec, output: Port, run: &Arc<Run>) -> Port {
         }
         NetSpec::Star { body, exit, .. } => {
             let t = Task::new(
-                "star-tap",
                 State::Star {
                     body: (**body).clone(),
                     exit: exit.clone(),
@@ -1662,7 +1498,6 @@ fn build(spec: &NetSpec, output: Port, run: &Arc<Run>) -> Port {
             // The scheduled engine, like the threaded one, ignores
             // placement; `snet-dist` honours it on the simulated cluster.
             let t = Task::new(
-                "split-dispatch",
                 State::Split {
                     body: (**body).clone(),
                     tag: *tag,
@@ -1675,6 +1510,18 @@ fn build(spec: &NetSpec, output: Port, run: &Arc<Run>) -> Port {
         }
         NetSpec::At { body, .. } | NetSpec::Named { body, .. } => build(body, output, run),
     }
+}
+
+/// A chain task feeding `output`, returning its input port.
+fn chain_task(stages: Vec<ChainStage>, output: Port, run: &Arc<Run>) -> Port {
+    let t = Task::new(
+        State::Chain {
+            stages,
+            out: output,
+        },
+        run,
+    );
+    Port::new(&t)
 }
 
 /// Error returned by [`SchedHandle::try_send`].

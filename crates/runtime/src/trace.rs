@@ -7,7 +7,7 @@
 //! unfired synchrocells at end-of-stream (almost always a coordination
 //! bug — the paper's merger net, for instance, must end with none).
 
-use snet_core::{ChainTally, Work};
+use snet_core::ChainTally;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Shared event counters; all methods are thread-safe and cheap.
@@ -46,25 +46,27 @@ impl Trace {
         Trace::default()
     }
 
-    pub(crate) fn count_box(&self, work: Work) {
-        self.box_records.fetch_add(1, Ordering::Relaxed);
-        self.box_ops.fetch_add(work.ops, Ordering::Relaxed);
-    }
-
     pub(crate) fn add(counter: &AtomicU64, n: u64) {
         counter.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Folds a fused-chain tally into the run counters, so a fused run
-    /// reports exactly the trace its unfused equivalent would.
+    /// Folds a chain tally into the run counters — the one way box and
+    /// filter work reaches a trace, so a fused run reports exactly the
+    /// trace its unfused equivalent would. Zero deltas are skipped: the
+    /// counters are run-global, so every add is a shared cache line,
+    /// and a typical tally touches two.
     pub(crate) fn count_chain(&self, t: &ChainTally) {
-        self.box_records.fetch_add(t.box_records, Ordering::Relaxed);
-        self.box_ops.fetch_add(t.box_ops, Ordering::Relaxed);
-        self.filter_records
-            .fetch_add(t.filter_records, Ordering::Relaxed);
-        self.passthroughs
-            .fetch_add(t.passthroughs, Ordering::Relaxed);
-        self.retries.fetch_add(t.retries, Ordering::Relaxed);
+        for (counter, n) in [
+            (&self.box_records, t.box_records),
+            (&self.box_ops, t.box_ops),
+            (&self.filter_records, t.filter_records),
+            (&self.passthroughs, t.passthroughs),
+            (&self.retries, t.retries),
+        ] {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        }
     }
 
     /// Reads a counter.
@@ -101,8 +103,13 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let t = Trace::new();
-        t.count_box(Work::ops(10));
-        t.count_box(Work::ops(5));
+        for ops in [10, 5] {
+            t.count_chain(&ChainTally {
+                box_records: 1,
+                box_ops: ops,
+                ..ChainTally::default()
+            });
+        }
         Trace::add(&t.sync_fires, 1);
         assert_eq!(t.get(&t.box_records), 2);
         assert_eq!(t.get(&t.box_ops), 15);

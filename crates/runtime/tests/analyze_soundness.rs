@@ -294,7 +294,7 @@ fn runtime_errors_carry_diag_codes() {
 }
 
 /// The construction-time pre-flight check: placement out of range is
-/// caught before any record runs, on both engines, and is opt-out.
+/// caught before any record runs, on both engines.
 #[test]
 fn preflight_rejects_placement_out_of_range() {
     let spec = NetSpec::at(add_box(), 9);
@@ -320,19 +320,7 @@ fn preflight_rejects_placement_out_of_range() {
     let err = handle.finish().unwrap_err();
     assert_eq!(err.diag_code(), Some(DiagCode::PlacementOutOfRange));
 
-    // Opting out (or widening the node range) runs normally.
-    let off = EngineConfig {
-        analyze: false,
-        nodes: Some(4),
-        ..EngineConfig::default()
-    };
-    assert_eq!(
-        Net::with_config(spec.clone(), off)
-            .run_batch(batch.clone())
-            .unwrap()
-            .len(),
-        1
-    );
+    // Widening the node range runs normally.
     let wide = EngineConfig {
         nodes: Some(16),
         ..EngineConfig::default()

@@ -6,8 +6,8 @@ Rust file:
 
 1. **Allowlist** — only crates with a reviewed reason may contain
    ``unsafe`` at all. Today that is the two shims with lock-free /
-   inline-buffer internals, the model checker's sync facade, and
-   snet-runtime (a single ``sched_setaffinity`` FFI call).
+   inline-buffer internals and the model checker's sync facade, plus
+   single allowlisted files outside them (a test's counting allocator).
 2. **SAFETY adjacency** — every ``unsafe`` occurrence must be
    *justified*: a comment line containing ``SAFETY:`` within the
    preceding ``MAX_GAP`` lines (comment/attribute lines only — any
@@ -33,7 +33,12 @@ ALLOWED_UNSAFE_CRATES = {
     "crates/shims/crossbeam-deque",  # lock-free Chase-Lev deque
     "crates/shims/smallvec",  # inline MaybeUninit buffer
     "crates/check",  # model-checker Mutex facade (UnsafeCell)
-    "crates/runtime",  # sched_setaffinity FFI (worker pinning)
+}
+
+# Single files (relative to the repo root) permitted to contain `unsafe`
+# in a crate that is otherwise unsafe-free. Same review rule: say why.
+ALLOWED_UNSAFE_FILES = {
+    "crates/runtime/tests/alloc_steady.rs",  # counting GlobalAlloc wrapper
 }
 
 # How many comment-only lines above an `unsafe` the SAFETY: note may
@@ -128,7 +133,7 @@ def check_file(path: Path, root: Path, errors: list[str]) -> None:
         return
 
     crate = crate_of(path, root)
-    if crate not in ALLOWED_UNSAFE_CRATES:
+    if crate not in ALLOWED_UNSAFE_CRATES and rel not in ALLOWED_UNSAFE_FILES:
         errors.append(
             f"{rel}:{hits[0] + 1}: crate `{crate}` is not on the "
             f"unsafe allowlist (scripts/check_unsafe.py) but contains "
