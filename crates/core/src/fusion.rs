@@ -20,10 +20,12 @@
 //! Fusion only ever merges runs of two or more: a lone box or filter
 //! stays a single spec node. The engines nonetheless *run* every box,
 //! filter and fused chain the same way — a singleton is a one-stage
-//! chain — so [`run_chain`] is the only code in the two local engines
-//! that applies box/filter semantics, fault policy and trace tallies
-//! (the reference interpreter and the simulated-time `snet-dist`
-//! engine keep their own paths).
+//! chain — so [`run_chain`] is the only code outside the reference
+//! interpreter that applies box/filter semantics, fault policy and
+//! trace tallies. That holds for the simulated-time `snet-dist` engine
+//! too, which keeps one process per box or filter and runs each as a
+//! one-stage chain per record. The combinators between chains route
+//! through [`crate::route::Router`].
 //!
 //! **Fault semantics are preserved per stage.** [`run_chain`] resolves
 //! the failure policy per original [`BoxDef`]
@@ -204,8 +206,9 @@ pub struct ChainTally {
 /// Drives the records in `cur` through `stages` *stage-major*, appending
 /// the chain's final outputs to `out` after whatever it already holds.
 ///
-/// Both local engines run every box, filter and fused chain through
-/// it (a lone box or filter is a one-stage chain). Every queued record
+/// Every engine but the reference interpreter runs each box, filter
+/// and fused chain through it (a lone box or filter is a one-stage
+/// chain). Every queued record
 /// advances through stage `k` before stage `k + 1` runs; each stage is
 /// an order-preserving per-record map-concat, so this is observably
 /// identical to pushing the records through one at a time.

@@ -42,6 +42,7 @@ pub mod label;
 pub mod pattern;
 pub mod pool;
 pub mod record;
+pub mod route;
 pub mod rtype;
 pub mod semantics;
 pub mod sync;
@@ -59,6 +60,7 @@ pub use label::Label;
 pub use pattern::Pattern;
 pub use pool::PoolStats;
 pub use record::Record;
+pub use route::{Replica, RouteTally, Router, Wiring};
 pub use rtype::{RType, Variant};
 pub use sync::{SyncOutcome, SyncSpec, SyncState};
 pub use topology::NetSpec;

@@ -139,10 +139,10 @@ pub fn filter_step(
 
 /// Best-match branch selection for parallel composition.
 ///
-/// Returns the indices of all branches achieving the maximal match score
-/// (callers break ties: the reference interpreter picks the first, the
-/// threaded engine may rotate). Returns an empty vector when no branch
-/// matches.
+/// Returns the indices of all branches achieving the maximal match
+/// score, in declaration order, or an empty vector when no branch
+/// matches. Every engine breaks ties the same way, by taking the first
+/// ([`best_branch`]); this full list is for diagnostics and tests.
 pub fn matching_branches(branch_patterns: &[Vec<Pattern>], rec: &Record) -> Vec<usize> {
     let mut best = None;
     let mut winners = Vec::new();
@@ -167,9 +167,16 @@ pub fn matching_branches(branch_patterns: &[Vec<Pattern>], rec: &Record) -> Vec<
     winners
 }
 
-/// Deterministic tie-break: first winner in declaration order.
+/// Deterministic best match: the first branch, in declaration order,
+/// with the maximal match score (`None` when no branch matches). One
+/// pass, no allocation — it runs once per dispatched record.
 pub fn best_branch(branch_patterns: &[Vec<Pattern>], rec: &Record) -> Option<usize> {
-    matching_branches(branch_patterns, rec).first().copied()
+    branch_patterns
+        .iter()
+        .enumerate()
+        .filter_map(|(i, ps)| Some((ps.iter().filter_map(|p| p.match_score(rec)).max()?, i)))
+        .min_by_key(|&(score, _)| std::cmp::Reverse(score)) // the first of the maxima
+        .map(|(_, i)| i)
 }
 
 impl fmt::Display for StepOut {
@@ -293,6 +300,35 @@ mod tests {
             .with_field("b", Value::Unit);
         assert_eq!(matching_branches(&branches, &rec), vec![0, 1]);
         assert_eq!(best_branch(&branches, &rec), Some(0));
+    }
+
+    #[test]
+    fn best_branch_is_the_first_of_the_matching_branches() {
+        let branches = vec![
+            vec![Pattern::any()],
+            vec![Pattern::from_variant(Variant::parse_labels(&["a"], &[]))],
+            vec![
+                Pattern::from_variant(Variant::parse_labels(&["b"], &[])),
+                Pattern::from_variant(Variant::parse_labels(&["a", "b"], &[])),
+            ],
+            vec![Pattern::from_variant(Variant::parse_labels(&["a"], &["k"]))],
+        ];
+        for rec in [
+            Record::new(),
+            Record::new().with_field("a", Value::Unit),
+            Record::new().with_field("b", Value::Unit),
+            Record::new()
+                .with_field("a", Value::Unit)
+                .with_field("b", Value::Unit),
+            Record::new().with_field("a", Value::Unit).with_tag("k", 1),
+        ] {
+            assert_eq!(
+                best_branch(&branches, &rec),
+                matching_branches(&branches, &rec).first().copied(),
+                "{rec:?}"
+            );
+        }
+        assert_eq!(best_branch(&branches[1..2], &Record::new()), None);
     }
 
     #[test]

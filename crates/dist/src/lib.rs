@@ -18,18 +18,29 @@
 //! baseline running on the same simulated hardware — the measurement
 //! the paper's §V figures are built from.
 //!
-//! The engine shares the small-step semantics of `snet_core::semantics`
-//! with the threaded engine, the scheduled engine, and the reference
-//! interpreter, so a network means the same thing on all four
-//! substrates; this crate only adds *where* things run and *what they
-//! cost*.
+//! The engine shares its record paths with the threaded and scheduled
+//! engines: every box and filter process runs its component as a
+//! one-stage [`snet_core::run_chain`] per record, and every parallel
+//! dispatcher, star tap, index-split dispatcher and synchrocell process
+//! routes through a [`snet_core::Router`], under `FailFast` and the
+//! permissive mismatch policy. Both rest on the small-step semantics of
+//! `snet_core::semantics` that the reference interpreter uses too, so a
+//! network means the same thing on all four substrates; this crate only
+//! adds *where* things run and *what they cost* — its
+//! [`snet_core::Wiring`] charges every hand-off through the
+//! [`OverheadModel`], and a fused chain expands back to one process per
+//! stage.
 
 use parking_lot::Mutex;
-use snet_core::semantics::{self, MismatchPolicy};
+use snet_core::fault::{DeadLetter, FailurePolicy};
+use snet_core::semantics::MismatchPolicy;
 use snet_core::value::AnyData;
-use snet_core::{ChainStage, NetSpec, Record, SnetError, SyncOutcome, Value};
+use snet_core::{
+    run_chain, ChainStage, ChainTally, NetSpec, Record, Replica, RouteTally, Router, SnetError,
+    Value, Wiring,
+};
 use snet_simnet::{Cluster, ClusterSpec, SimCtx, SimError, SimHandle, SimQueue, Simulation};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -74,44 +85,6 @@ impl Default for OverheadModel {
 
 // --------------------------------------------------------------- stats
 
-#[derive(Default)]
-struct Stats {
-    records_hopped: AtomicU64,
-    glue_ops: AtomicU64,
-    box_ops: AtomicU64,
-    wire_bytes: AtomicU64,
-    sync_stores: AtomicU64,
-    sync_fires: AtomicU64,
-    sync_stranded: AtomicU64,
-    star_unfoldings: AtomicU64,
-    split_replicas: AtomicU64,
-    dispatched: AtomicU64,
-    passthroughs: AtomicU64,
-}
-
-impl Stats {
-    fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> StatsSnapshot {
-        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        StatsSnapshot {
-            records_hopped: get(&self.records_hopped),
-            glue_ops: get(&self.glue_ops),
-            box_ops: get(&self.box_ops),
-            wire_bytes: get(&self.wire_bytes),
-            sync_stores: get(&self.sync_stores),
-            sync_fires: get(&self.sync_fires),
-            sync_stranded: get(&self.sync_stranded),
-            star_unfoldings: get(&self.star_unfoldings),
-            split_replicas: get(&self.split_replicas),
-            dispatched: get(&self.dispatched),
-            passthroughs: get(&self.passthroughs),
-        }
-    }
-}
-
 /// Runtime counters of one cluster run (deterministic across repeated
 /// runs of the same program).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -138,6 +111,23 @@ pub struct StatsSnapshot {
     pub dispatched: u64,
     /// Records forwarded past a non-matching component.
     pub passthroughs: u64,
+}
+
+impl StatsSnapshot {
+    fn count_chain(&mut self, t: &ChainTally) {
+        self.box_ops += t.box_ops;
+        self.passthroughs += t.passthroughs;
+    }
+
+    fn count_route(&mut self, t: &RouteTally) {
+        self.dispatched += t.dispatched;
+        self.passthroughs += t.passthroughs;
+        self.sync_stores += t.sync_stores;
+        self.sync_fires += t.sync_fires;
+        self.sync_stranded += t.sync_stranded;
+        self.star_unfoldings += t.star_unfoldings;
+        self.split_replicas += t.split_replicas;
+    }
 }
 
 // -------------------------------------------------------------- result
@@ -203,7 +193,7 @@ struct Env {
     handle: SimHandle,
     cluster: Cluster,
     overhead: OverheadModel,
-    stats: Arc<Stats>,
+    stats: Mutex<StatsSnapshot>,
     error: Arc<Mutex<Option<SnetError>>>,
     nodes: usize,
     /// Shared (`Arc`ed) payloads already resident on each node, keyed
@@ -286,14 +276,14 @@ impl Env {
     }
 
     fn send_inner(&self, ctx: &SimCtx, from: usize, tx: &Tx, rec: Record, glue: bool) {
-        Stats::add(&self.stats.records_hopped, 1);
+        self.stats.lock().records_hopped += 1;
         if glue && self.overhead.hop_ops > 0 {
             self.cluster.compute(ctx, from, self.overhead.hop_ops);
-            Stats::add(&self.stats.glue_ops, self.overhead.hop_ops);
+            self.stats.lock().glue_ops += self.overhead.hop_ops;
         }
         let bytes = self.billable_bytes(&rec, from, tx.dst_node);
         if from != tx.dst_node {
-            Stats::add(&self.stats.wire_bytes, bytes as u64);
+            self.stats.lock().wire_bytes += bytes as u64;
         }
         let delay = self.cluster.transfer(ctx, from, tx.dst_node, bytes);
         tx.q.send_delayed(rec, delay);
@@ -335,7 +325,7 @@ pub fn run_on_cluster(
         handle: sim.handle().clone(),
         cluster: cluster.clone(),
         overhead,
-        stats: Arc::new(Stats::default()),
+        stats: Mutex::default(),
         error: Arc::new(Mutex::new(None)),
         nodes: cluster_spec.nodes,
         resident: (0..cluster_spec.nodes)
@@ -397,10 +387,11 @@ pub fn run_on_cluster(
     }
 
     let outputs = std::mem::take(&mut *outputs.lock());
+    let stats = *env.stats.lock();
     Ok(RunResult {
         makespan: Duration::from_nanos(report.end_time.as_nanos()),
         outputs,
-        stats: env.stats.snapshot(),
+        stats,
         events: report.events,
         processes: report.processes,
         cpu_busy_secs: cluster.cpu_busy().iter().map(|d| d.as_secs_f64()).collect(),
@@ -423,181 +414,26 @@ fn build(spec: &NetSpec, input: SimQueue<Record>, output: Tx, node: usize, env: 
             }));
             build(&serial, input, output, node, env);
         }
-        NetSpec::Box(def) => {
-            let def = def.clone();
-            let env2 = Arc::clone(env);
-            let name = format!("box-{}@{node}", def.sig.name);
-            env.handle.spawn(&name, move |ctx| {
-                while let Some(rec) = input.recv(ctx) {
-                    let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        semantics::box_step(&def, rec, MismatchPolicy::Forward)
-                    }))
-                    .unwrap_or_else(|payload| {
-                        let cause = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| (*s).to_owned())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".into());
-                        Err(SnetError::BoxFailure {
-                            name: def.sig.name.clone(),
-                            cause: format!("panicked: {cause}"),
-                        })
-                    });
-                    match step {
-                        Ok(step) => {
-                            if step.matched {
-                                Stats::add(&env2.stats.box_ops, step.work.ops);
-                                // The box's computation occupies this
-                                // node's CPU for its reported work.
-                                env2.cluster.compute(ctx, node, step.work.ops);
-                            } else {
-                                Stats::add(&env2.stats.passthroughs, 1);
-                            }
-                            for r in step.records {
-                                env2.send(ctx, node, &output, r);
-                            }
-                        }
-                        Err(e) => env2.fail(e),
-                    }
-                }
-                output.close();
-            });
-        }
-        NetSpec::Filter(f) => {
-            let f = f.clone();
-            let env2 = Arc::clone(env);
-            // The compiler splices identity filters (`[]`) out of the
-            // stream graph; they forward records at zero glue cost.
-            let transparent = f.is_identity();
-            env.handle.spawn(&format!("filter@{node}"), move |ctx| {
-                while let Some(rec) = input.recv(ctx) {
-                    if transparent {
-                        env2.forward(ctx, node, &output, rec);
-                        continue;
-                    }
-                    match semantics::filter_step(&f, rec, MismatchPolicy::Forward) {
-                        Ok(step) => {
-                            if !step.matched {
-                                Stats::add(&env2.stats.passthroughs, 1);
-                            }
-                            for r in step.records {
-                                env2.send(ctx, node, &output, r);
-                            }
-                        }
-                        Err(e) => env2.fail(e),
-                    }
-                }
-                output.close();
-            });
-        }
-        NetSpec::Sync(spec) => {
-            let spec = spec.clone();
-            let env2 = Arc::clone(env);
-            env.handle.spawn(&format!("sync@{node}"), move |ctx| {
-                let mut state = spec.new_state();
-                while let Some(rec) = input.recv(ctx) {
-                    // A fired synchrocell is removed from the network by
-                    // the runtime (it is the identity from then on), so
-                    // its pass-throughs carry no glue cost.
-                    let fired_before = state.is_fired();
-                    let out = match state.push(&spec, rec) {
-                        SyncOutcome::Stored => {
-                            Stats::add(&env2.stats.sync_stores, 1);
-                            continue;
-                        }
-                        SyncOutcome::Fired(m) => {
-                            Stats::add(&env2.stats.sync_fires, 1);
-                            m
-                        }
-                        SyncOutcome::Passed(r) if fired_before => {
-                            env2.forward(ctx, node, &output, r);
-                            continue;
-                        }
-                        SyncOutcome::Passed(r) => r,
-                    };
-                    env2.send(ctx, node, &output, out);
-                }
-                let stranded = state.pending().count() as u64;
-                if stranded > 0 {
-                    Stats::add(&env2.stats.sync_stranded, stranded);
-                }
-                output.close();
-            });
-        }
+        NetSpec::Box(def) => spawn_stage(ChainStage::Box(def.clone()), input, output, node, env),
+        NetSpec::Filter(f) => spawn_stage(ChainStage::Filter(f.clone()), input, output, node, env),
         NetSpec::Serial(a, b) => {
             let mid_home = home_node(b, node, env.nodes);
             let mid = env.queue("serial-mid");
             build(a, input, Tx::new(mid.clone(), mid_home), node, env);
             build(b, mid, output, node, env);
         }
-        NetSpec::Parallel { branches, .. } => {
-            let mut branch_txs = Vec::with_capacity(branches.len());
-            let mut patterns = Vec::with_capacity(branches.len());
-            for branch in branches {
+        NetSpec::Parallel { .. }
+        | NetSpec::Star { .. }
+        | NetSpec::Split { .. }
+        | NetSpec::Sync(_) => {
+            let router = Router::new(spec, |branch| {
                 let bq = env.queue("par-branch");
                 let bhome = home_node(branch, node, env.nodes);
                 build(branch, bq.clone(), output.another(), node, env);
-                branch_txs.push(Tx::new(bq, bhome));
-                patterns.push(branch.input_patterns());
-            }
-            let env2 = Arc::clone(env);
-            env.handle
-                .spawn(&format!("par-dispatch@{node}"), move |ctx| {
-                    while let Some(rec) = input.recv(ctx) {
-                        let winners = semantics::matching_branches(&patterns, &rec);
-                        match winners.first() {
-                            Some(&i) => {
-                                Stats::add(&env2.stats.dispatched, 1);
-                                env2.send(ctx, node, &branch_txs[i], rec);
-                            }
-                            None => {
-                                Stats::add(&env2.stats.passthroughs, 1);
-                                env2.send(ctx, node, &output, rec);
-                            }
-                        }
-                    }
-                    for tx in branch_txs {
-                        tx.close();
-                    }
-                    output.close();
-                });
-        }
-        NetSpec::Star { body, exit, .. } => {
-            build_star_tap(body, exit.clone(), input, output, node, env);
-        }
-        NetSpec::Split { body, tag, placed } => {
-            let body = (**body).clone();
-            let tag = *tag;
-            let placed = *placed;
-            let env2 = Arc::clone(env);
-            env.handle
-                .spawn(&format!("split-dispatch@{node}"), move |ctx| {
-                    // BTreeMap: replica creation and teardown order must be
-                    // deterministic for reproducible event logs.
-                    let mut replicas: BTreeMap<i64, Tx> = BTreeMap::new();
-                    while let Some(rec) = input.recv(ctx) {
-                        let Some(value) = rec.tag(tag) else {
-                            env2.fail(SnetError::MissingTag(tag));
-                        };
-                        if let std::collections::btree_map::Entry::Vacant(e) = replicas.entry(value)
-                        {
-                            Stats::add(&env2.stats.split_replicas, 1);
-                            // `!@<tag>`: the tag value names the hosting
-                            // node; plain `!` keeps replicas local.
-                            let replica_node = if placed { env2.place_tag(value) } else { node };
-                            let rhome = home_node(&body, replica_node, env2.nodes);
-                            let rq = env2.queue("split-replica");
-                            build(&body, rq.clone(), output.another(), replica_node, &env2);
-                            e.insert(Tx::new(rq, rhome));
-                        }
-                        Stats::add(&env2.stats.dispatched, 1);
-                        env2.send(ctx, node, &replicas[&value], rec);
-                    }
-                    for (_, tx) in replicas {
-                        tx.close();
-                    }
-                    output.close();
-                });
+                Tx::new(bq, bhome)
+            })
+            .expect("a routing combinator");
+            spawn_router(router, input, output, node, env);
         }
         NetSpec::At { body, node: n } => {
             let placed = env.place(*n);
@@ -607,49 +443,159 @@ fn build(spec: &NetSpec, input: SimQueue<Record>, output: Tx, node: usize, env: 
     }
 }
 
-/// One tap of a serial-replication star (§III: "the chain is tapped
-/// before every replica"): matching records exit; the rest enter a
-/// lazily instantiated replica whose output feeds the next tap.
-fn build_star_tap(
-    body: &NetSpec,
-    exit: snet_core::Pattern,
+/// One process per box or filter, running it as a one-stage chain per
+/// record; a matched box's reported work occupies this node's CPU. The
+/// compiler splices identity filters (`[]`) out of the stream graph;
+/// they forward records at zero glue cost.
+fn spawn_stage(
+    stage: ChainStage,
     input: SimQueue<Record>,
     output: Tx,
     node: usize,
     env: &Arc<Env>,
 ) {
-    let body = body.clone();
-    let env2 = Arc::clone(env);
-    env.handle.spawn(&format!("star-tap@{node}"), move |ctx| {
-        let mut into_body: Option<Tx> = None;
+    let name = match &stage {
+        ChainStage::Box(def) => format!("box-{}@{node}", def.sig.name),
+        ChainStage::Filter(_) => format!("filter@{node}"),
+    };
+    let transparent = matches!(&stage, ChainStage::Filter(f) if f.is_identity());
+    let (stages, env2) = ([stage], Arc::clone(env));
+    env.handle.spawn(&name, move |ctx| {
+        let (mut cur, mut next, mut outs) = (Vec::new(), Vec::new(), Vec::new());
+        let seq = AtomicU64::new(0);
         while let Some(rec) = input.recv(ctx) {
-            if exit.matches(&rec) {
-                env2.send(ctx, node, &output, rec);
+            if transparent {
+                env2.forward(ctx, node, &output, rec);
                 continue;
             }
-            if into_body.is_none() {
-                Stats::add(&env2.stats.star_unfoldings, 1);
-                let body_home = home_node(&body, node, env2.nodes);
-                let body_q = env2.queue("star-body");
-                let next_q = env2.queue("star-next");
-                build(
-                    &body,
-                    body_q.clone(),
-                    Tx::new(next_q.clone(), node),
-                    node,
-                    &env2,
-                );
-                build_star_tap(&body, exit.clone(), next_q, output.another(), node, &env2);
-                into_body = Some(Tx::new(body_q, body_home));
+            cur.push(rec);
+            let mut t = ChainTally::default();
+            if let Err(e) = run_chain(
+                &stages,
+                FailurePolicy::FailFast,
+                MismatchPolicy::Forward,
+                &seq,
+                &mut cur,
+                &mut next,
+                &mut t,
+                &mut outs,
+                &mut |dl| Err(dl.report.cause),
+            ) {
+                env2.fail(e);
             }
-            let tx = into_body.as_ref().expect("replica just unfolded");
-            env2.send(ctx, node, tx, rec);
-        }
-        if let Some(tx) = into_body {
-            tx.close();
+            env2.stats.lock().count_chain(&t);
+            env2.cluster.compute(ctx, node, t.box_ops);
+            for r in outs.drain(..) {
+                env2.send(ctx, node, &output, r);
+            }
         }
         output.close();
     });
+}
+
+/// One process per parallel dispatcher, star tap, index-split
+/// dispatcher or synchrocell: the router decides, the process hands
+/// off at the cost model's prices.
+fn spawn_router(
+    mut router: Router<Tx>,
+    input: SimQueue<Record>,
+    output: Tx,
+    node: usize,
+    env: &Arc<Env>,
+) {
+    let env2 = Arc::clone(env);
+    env.handle
+        .spawn(&format!("{}@{node}", router.component()), move |ctx| {
+            let seq = AtomicU64::new(0);
+            let mut wire = Wire {
+                ctx,
+                out: &output,
+                node,
+                env: &env2,
+            };
+            let (policy, mismatch) = (FailurePolicy::FailFast, MismatchPolicy::Forward);
+            while let Some(rec) = input.recv(ctx) {
+                if let Err(e) = router.route(rec, policy, mismatch, &seq, &mut wire) {
+                    env2.fail(e);
+                }
+            }
+            let (targets, tally) = router.finish();
+            targets.into_iter().for_each(Tx::close);
+            env2.stats.lock().count_route(&tally);
+            output.close();
+        });
+}
+
+/// A router process's wiring: simulated queues, each hand-off charged
+/// by [`Env::send`], replicas spawned as processes on their node.
+struct Wire<'a> {
+    ctx: &'a SimCtx,
+    out: &'a Tx,
+    node: usize,
+    env: &'a Arc<Env>,
+}
+
+impl Wiring for Wire<'_> {
+    type Target = Tx;
+
+    fn emit(&mut self, rec: Record) -> Result<(), SnetError> {
+        self.env.send(self.ctx, self.node, self.out, rec);
+        Ok(())
+    }
+
+    /// A fired synchrocell is removed from the network by the runtime
+    /// (it is the identity from then on), so its pass-throughs carry no
+    /// glue cost.
+    fn emit_through(&mut self, rec: Record) -> Result<(), SnetError> {
+        self.env.forward(self.ctx, self.node, self.out, rec);
+        Ok(())
+    }
+
+    fn send(&mut self, to: &mut Tx, rec: Record) -> Result<(), SnetError> {
+        self.env.send(self.ctx, self.node, to, rec);
+        Ok(())
+    }
+
+    fn instantiate(&mut self, replica: Replica<'_, Tx>) -> Tx {
+        let (env, node) = (self.env, self.node);
+        match replica {
+            // The body feeds the next tap, which shares our exit stream.
+            Replica::Star { body, tap } => {
+                let body_home = home_node(body, node, env.nodes);
+                let body_q = env.queue("star-body");
+                let next_q = env.queue("star-next");
+                build(
+                    body,
+                    body_q.clone(),
+                    Tx::new(next_q.clone(), node),
+                    node,
+                    env,
+                );
+                spawn_router(tap, next_q, self.out.another(), node, env);
+                Tx::new(body_q, body_home)
+            }
+            // `!@<tag>`: the tag value names the hosting node; plain `!`
+            // keeps replicas local.
+            Replica::Split {
+                body,
+                value,
+                placed,
+            } => {
+                let replica_node = if placed { env.place_tag(value) } else { node };
+                let rhome = home_node(body, replica_node, env.nodes);
+                let rq = env.queue("split-replica");
+                build(body, rq.clone(), self.out.another(), replica_node, env);
+                Tx::new(rq, rhome)
+            }
+        }
+    }
+
+    /// There is no dead-letter stream here: every component runs under
+    /// `FailFast`, so only a per-box `DeadLetter` override diverts, and
+    /// that fails the run with its cause.
+    fn divert(&mut self, dl: Box<DeadLetter>) -> Result<(), SnetError> {
+        Err(dl.report.cause)
+    }
 }
 
 #[cfg(test)]

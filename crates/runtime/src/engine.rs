@@ -20,12 +20,12 @@
 use crate::trace::Trace;
 use crossbeam_channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
-use snet_core::fault::{self, DeadLetter, FailurePolicy};
-use snet_core::semantics::{self, MismatchPolicy};
+use snet_core::fault::{DeadLetter, FailurePolicy};
+use snet_core::semantics::MismatchPolicy;
 use snet_core::{
-    run_chain, ChainStage, ChainTally, Diagnostic, NetSpec, RType, Record, SnetError, SyncOutcome,
+    run_chain, ChainStage, ChainTally, Diagnostic, NetSpec, RType, Record, Replica, Router,
+    SnetError, Wiring,
 };
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -561,24 +561,21 @@ impl Shared {
 
     /// Routes a diverted record to the dead-letter stream. Never
     /// blocks: the stream is bounded, and overflow (a consumer not
-    /// draining) is a fatal engine error rather than a stall. Returns
-    /// false when the component should stop.
-    fn divert(&self, dl: Box<DeadLetter>) -> bool {
+    /// draining) is a fatal engine error rather than a stall; the
+    /// component that diverted stops on it.
+    fn divert(&self, dl: Box<DeadLetter>) -> Result<(), SnetError> {
         use crossbeam_channel::TrySendError as ChanTrySend;
         Trace::add(&self.trace.dead_letters, 1);
         match self.dead_tx.try_send(*dl) {
-            Ok(()) => true,
-            Err(ChanTrySend::Full(dl)) => {
-                self.fail(SnetError::Engine(format!(
-                    "dead-letter channel overflow (capacity {}); last report: {}",
-                    self.config.channel_capacity.max(1) * DEAD_CAPACITY_FACTOR,
-                    dl.report
-                )));
-                false
-            }
+            Ok(()) => Ok(()),
+            Err(ChanTrySend::Full(dl)) => Err(SnetError::Engine(format!(
+                "dead-letter channel overflow (capacity {}); last report: {}",
+                self.config.channel_capacity.max(1) * DEAD_CAPACITY_FACTOR,
+                dl.report
+            ))),
             // Receiver dropped: the caller stopped listening; letters
             // are discarded but the run keeps its contract.
-            Err(ChanTrySend::Disconnected(_)) => true,
+            Err(ChanTrySend::Disconnected(_)) => Ok(()),
         }
     }
 
@@ -593,147 +590,26 @@ fn build(spec: &NetSpec, input: Receiver<Record>, output: Sender<Record>, sh: &A
         NetSpec::Box(def) => spawn_chain(vec![ChainStage::Box(def.clone())], input, output, sh),
         NetSpec::Filter(f) => spawn_chain(vec![ChainStage::Filter(f.clone())], input, output, sh),
         NetSpec::FusedChain { stages } => spawn_chain(stages.clone(), input, output, sh),
-        NetSpec::Sync(spec) => {
-            let spec = spec.clone();
-            let sh2 = Arc::clone(sh);
-            sh.spawn("sync", move || {
-                let mut state = spec.new_state();
-                for rec in input.iter() {
-                    if sh2.should_stop() {
-                        break;
-                    }
-                    let out = match state.push(&spec, rec) {
-                        SyncOutcome::Stored => {
-                            Trace::add(&sh2.trace.sync_stores, 1);
-                            continue;
-                        }
-                        SyncOutcome::Fired(m) => {
-                            Trace::add(&sh2.trace.sync_fires, 1);
-                            m
-                        }
-                        SyncOutcome::Passed(r) => r,
-                    };
-                    if output.send(out).is_err() {
-                        break;
-                    }
-                }
-                let stranded = state.pending().count() as u64;
-                if stranded > 0 {
-                    Trace::add(&sh2.trace.sync_stranded, stranded);
-                }
-            });
-        }
         NetSpec::Serial(a, b) => {
             let (mid_tx, mid_rx) = sh.chan();
             build(a, input, mid_tx, sh);
             build(b, mid_rx, output, sh);
         }
-        NetSpec::Parallel { branches, .. } => {
-            // One bounded channel per branch; every branch writes to a
-            // clone of `output`, so the merge is arrival-order — the
-            // paper's nondeterministic merger.
-            let mut branch_txs = Vec::with_capacity(branches.len());
-            let mut patterns = Vec::with_capacity(branches.len());
-            for branch in branches {
+        // One bounded channel per parallel branch; every branch writes
+        // to a clone of `output`, so the merge is arrival-order — the
+        // paper's nondeterministic merger. The threaded engine ignores
+        // placement; `snet-dist` honours it on the simulated cluster.
+        NetSpec::Parallel { .. }
+        | NetSpec::Star { .. }
+        | NetSpec::Split { .. }
+        | NetSpec::Sync(_) => {
+            let router = Router::new(spec, |branch| {
                 let (tx, rx) = sh.chan();
                 build(branch, rx, output.clone(), sh);
-                branch_txs.push(tx);
-                patterns.push(branch.input_patterns());
-            }
-            let sh2 = Arc::clone(sh);
-            sh.spawn("par-dispatch", move || {
-                for rec in input.iter() {
-                    if sh2.should_stop() {
-                        break;
-                    }
-                    let winners = semantics::matching_branches(&patterns, &rec);
-                    match winners.first() {
-                        Some(&i) => {
-                            Trace::add(&sh2.trace.dispatched, 1);
-                            if branch_txs[i].send(rec).is_err() {
-                                break;
-                            }
-                        }
-                        None => match sh2.config.mismatch {
-                            MismatchPolicy::Forward => {
-                                Trace::add(&sh2.trace.passthroughs, 1);
-                                if output.send(rec).is_err() {
-                                    break;
-                                }
-                            }
-                            MismatchPolicy::Error => {
-                                let cause = SnetError::TypeMismatch {
-                                    expected: "any parallel branch".into(),
-                                    got: format!("{rec:?}"),
-                                };
-                                match fault::reject(
-                                    sh2.config.policy,
-                                    "par-dispatch",
-                                    &sh2.seq,
-                                    rec,
-                                    cause,
-                                ) {
-                                    Ok(dl) => {
-                                        if !sh2.divert(dl) {
-                                            break;
-                                        }
-                                    }
-                                    Err(e) => {
-                                        sh2.fail(e);
-                                        break;
-                                    }
-                                }
-                            }
-                        },
-                    }
-                }
-                // Dropping branch_txs and output here closes every branch.
-            });
-        }
-        NetSpec::Star { body, exit, .. } => {
-            build_star_tap(body, exit.clone(), input, output, sh);
-        }
-        NetSpec::Split { body, tag, .. } => {
-            // The threaded engine ignores placement; `snet-dist` honours
-            // it on the simulated cluster.
-            let body = (**body).clone();
-            let tag = *tag;
-            let sh2 = Arc::clone(sh);
-            sh.spawn("split-dispatch", move || {
-                let mut replicas: HashMap<i64, Sender<Record>> = HashMap::new();
-                for rec in input.iter() {
-                    if sh2.should_stop() {
-                        break;
-                    }
-                    let Some(value) = rec.tag(tag) else {
-                        match fault::reject(
-                            sh2.config.policy,
-                            "split-dispatch",
-                            &sh2.seq,
-                            rec,
-                            SnetError::MissingTag(tag),
-                        ) {
-                            Ok(dl) => {
-                                if sh2.divert(dl) {
-                                    continue;
-                                }
-                            }
-                            Err(e) => sh2.fail(e),
-                        }
-                        break;
-                    };
-                    let tx = replicas.entry(value).or_insert_with(|| {
-                        Trace::add(&sh2.trace.split_replicas, 1);
-                        let (tx, rx) = sh2.chan();
-                        build(&body, rx, output.clone(), &sh2);
-                        tx
-                    });
-                    Trace::add(&sh2.trace.dispatched, 1);
-                    if tx.send(rec).is_err() {
-                        break;
-                    }
-                }
-            });
+                tx
+            })
+            .expect("a routing combinator");
+            spawn_router(router, input, output, sh);
         }
         NetSpec::At { body, .. } | NetSpec::Named { body, .. } => {
             build(body, input, output, sh);
@@ -770,16 +646,7 @@ fn spawn_chain(
                 &mut next,
                 &mut tally,
                 &mut outs,
-                &mut |dl| {
-                    if sh2.divert(dl) {
-                        Ok(())
-                    } else {
-                        // Overflow already recorded by `divert`; this
-                        // error just unwinds the chain (first recorded
-                        // error wins).
-                        Err(SnetError::Engine("dead-letter overflow".into()))
-                    }
-                },
+                &mut |dl| sh2.divert(dl),
             );
             sh2.trace.count_chain(&tally);
             if let Err(e) = res {
@@ -796,46 +663,81 @@ fn spawn_chain(
     });
 }
 
-/// One tap of a serial-replication star.
-///
-/// The tap inspects every record *before* the replica (§III: "the chain
-/// is tapped before every replica"): matching records exit to `output`;
-/// the rest enter a lazily instantiated replica of `body` whose output
-/// stream feeds the next tap.
-fn build_star_tap(
-    body: &NetSpec,
-    exit: snet_core::Pattern,
+/// One thread for a parallel dispatcher, star tap, index-split
+/// dispatcher or synchrocell: the router decides, the thread hands off.
+/// Dropping the router's targets and `output` at the end closes every
+/// downstream stream.
+fn spawn_router(
+    mut router: Router<Sender<Record>>,
     input: Receiver<Record>,
     output: Sender<Record>,
     sh: &Arc<Shared>,
 ) {
-    let body = body.clone();
     let sh2 = Arc::clone(sh);
-    sh.spawn("star-tap", move || {
-        let mut into_body: Option<Sender<Record>> = None;
+    sh.spawn(router.component(), move || {
+        let mut wire = Wire {
+            out: &output,
+            sh: &sh2,
+        };
+        let (policy, mismatch) = (sh2.config.policy, sh2.config.mismatch);
         for rec in input.iter() {
             if sh2.should_stop() {
                 break;
             }
-            if exit.matches(&rec) {
-                if output.send(rec).is_err() {
-                    break;
-                }
-                continue;
-            }
-            let tx = into_body.get_or_insert_with(|| {
-                Trace::add(&sh2.trace.star_unfoldings, 1);
-                let (body_tx, body_rx) = sh2.chan();
-                let (next_tx, next_rx) = sh2.chan();
-                build(&body, body_rx, next_tx, &sh2);
-                build_star_tap(&body, exit.clone(), next_rx, output.clone(), &sh2);
-                body_tx
-            });
-            if tx.send(rec).is_err() {
+            let res = router.route(rec, policy, mismatch, &sh2.seq, &mut wire);
+            sh2.trace.count_route(&router.take_tally());
+            if let Err(e) = res {
+                sh2.fail(e);
                 break;
             }
         }
+        sh2.trace.count_route(&router.finish().1);
     });
+}
+
+/// A router thread's wiring: bounded channels, with replicas spawned as
+/// fresh threads of the same run.
+struct Wire<'a> {
+    out: &'a Sender<Record>,
+    sh: &'a Arc<Shared>,
+}
+
+impl Wiring for Wire<'_> {
+    type Target = Sender<Record>;
+
+    fn emit(&mut self, rec: Record) -> Result<(), SnetError> {
+        hand_off(self.out, rec)
+    }
+
+    fn send(&mut self, to: &mut Sender<Record>, rec: Record) -> Result<(), SnetError> {
+        hand_off(to, rec)
+    }
+
+    fn instantiate(&mut self, replica: Replica<'_, Sender<Record>>) -> Sender<Record> {
+        let (tx, rx) = self.sh.chan();
+        match replica {
+            // The body feeds the next tap, which shares our exit stream.
+            Replica::Star { body, tap } => {
+                let (next_tx, next_rx) = self.sh.chan();
+                build(body, rx, next_tx, self.sh);
+                spawn_router(tap, next_rx, self.out.clone(), self.sh);
+            }
+            Replica::Split { body, .. } => build(body, rx, self.out.clone(), self.sh),
+        }
+        tx
+    }
+
+    fn divert(&mut self, dl: Box<DeadLetter>) -> Result<(), SnetError> {
+        self.sh.divert(dl)
+    }
+}
+
+/// Sends one record downstream. A disconnected receiver means the
+/// network is tearing down after an error recorded elsewhere (first
+/// recorded error wins), so the failure only stops the sender.
+fn hand_off(tx: &Sender<Record>, rec: Record) -> Result<(), SnetError> {
+    tx.send(rec)
+        .map_err(|_| SnetError::Engine("downstream closed".into()))
 }
 
 /// Convenience: total abstract work recorded by a trace.

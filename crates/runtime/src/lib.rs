@@ -41,6 +41,14 @@
 //!   choice for compute-bound workloads and the base layer for the
 //!   scaling work tracked in ROADMAP.md.
 //!
+//! Both engines (and `snet-dist`) run boxes, filters and fused chains
+//! through [`snet_core::fusion::run_chain`], and every parallel
+//! dispatcher, star tap, index split and synchrocell through a
+//! [`snet_core::Router`], which owns the routing decision and its
+//! counters. An engine adds only its [`snet_core::Wiring`]: targets,
+//! hand-off, replica instantiation and dead-letter sink. Only
+//! [`Interp`], the oracle, walks the combinators on its own.
+//!
 //! ## Batched hand-off ([`EngineConfig::batch`])
 //!
 //! Record hand-off in the scheduled engine is **batch-granular**, not
@@ -105,9 +113,10 @@
 //! equivalence property suite
 //! (`fusion_equivalence.rs`) holds fused, unfused, and interpreter
 //! runs to the same output multisets, dead-letter multisets, and
-//! failure attributions. On the depth-16 pipeline benchmark the fused
-//! scheduled engine runs ≥1.5x the unfused one (`BENCH_fusion.json`,
-//! gated in CI via `scripts/check_bench.py`).
+//! failure attributions. On the depth-16 pipeline benchmark, with both
+//! nets on one worker so mailbox hops are the only difference, the
+//! fused scheduled engine runs ≥1.2x the unfused one
+//! (`BENCH_fusion.json`, gated in CI via `scripts/check_bench.py`).
 //!
 //! ## Failure semantics
 //!

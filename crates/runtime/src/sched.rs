@@ -53,15 +53,14 @@ use crate::trace::Trace;
 use crossbeam_channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use crossbeam_deque::{Injector, Steal, Stealer, Worker};
 use parking_lot::Mutex;
-use snet_core::fault::{self, DeadLetter};
+use snet_core::fault::DeadLetter;
 use snet_core::panic_cause;
 use snet_core::pool;
-use snet_core::semantics::{self, MismatchPolicy};
 use snet_core::{
-    run_chain, ChainStage, ChainTally, Diagnostic, Label, NetSpec, Pattern, RType, Record,
-    SnetError, SyncOutcome, SyncSpec, SyncState,
+    run_chain, ChainStage, ChainTally, Diagnostic, NetSpec, RType, Record, Replica, Router,
+    SnetError, Wiring,
 };
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 // Under `--cfg snet_check` the atomics and condvars of the mailbox
 // hand-off path come from the snet-check model scheduler, which makes
@@ -547,28 +546,10 @@ enum State {
     /// input and the last stage writes straight into `out`'s coalescing
     /// buffer.
     Chain { stages: Vec<ChainStage>, out: Port },
-    Sync {
-        spec: SyncSpec,
-        st: SyncState,
-        out: Port,
-    },
-    Par {
-        patterns: Vec<Vec<Pattern>>,
-        branches: Vec<Port>,
-        out: Port,
-    },
-    Star {
-        body: NetSpec,
-        exit: Pattern,
-        into_body: Option<Port>,
-        out: Port,
-    },
-    Split {
-        body: NetSpec,
-        tag: Label,
-        replicas: HashMap<i64, Port>,
-        out: Port,
-    },
+    /// A parallel dispatcher, star tap, index-split dispatcher or
+    /// synchrocell: the router decides, its targets and `out` are this
+    /// task's output ports.
+    Route { router: Router<Port>, out: Port },
     /// Terminal output collector; records coalesce in `buf` and move to
     /// `dest` once per batch/activation.
     Sink { buf: Vec<Record>, dest: SinkDest },
@@ -896,7 +877,7 @@ fn park(sh: &Shared, timeout: Duration) -> bool {
 }
 
 /// Runs one activation with panic containment. User box panics are
-/// already converted to errors inside `step`; a panic escaping the
+/// already converted to errors inside `run_chain`; a panic escaping the
 /// activation itself (a semantics/scheduler bug) must still not kill a
 /// persistent-pool thread — the pool never respawns workers, so an
 /// unwinding activation would silently shrink the pool and strand the
@@ -1095,53 +1076,77 @@ fn run_task(
         if task.ingress_waiters.load(Ordering::Acquire) > 0 {
             task.ingress_cv.notify_all();
         }
-        // Chains take the whole claimed batch in one stage-major
-        // traversal (identical observable semantics, one panic guard
-        // per batch instead of per record); every other state steps
-        // record-at-a-time.
-        if let State::Chain { stages, out } = &mut *state {
-            let n = inbuf.len();
-            let mut no_scratch = Vec::new();
-            let next = if stages.len() > 1 {
-                &mut **scratch.get_or_insert_with(pool::PooledVec::take)
-            } else {
-                &mut no_scratch
-            };
-            let mut tally = ChainTally::default();
-            let run = &task.run;
-            let res = run_chain(
-                stages,
-                sh.config.policy,
-                sh.config.mismatch,
-                &run.seq,
-                &mut inbuf,
-                next,
-                &mut tally,
-                &mut out.buf,
-                &mut |dl| run.divert(dl),
-            );
-            run.trace.count_chain(&tally);
-            if let Err(e) = res {
-                task.run.fail(e);
-                task.clear_mailbox();
-                finalize(task, &mut state, sh, local);
-                return None;
-            }
-            if out.buf.len() >= batch {
-                out.flush(sh, local);
-            }
-            processed += n;
-        } else {
-            for rec in inbuf.drain(..) {
-                if let Err(e) = step(&mut state, rec, sh, &task.run, local) {
-                    task.run.fail(e);
-                    task.clear_mailbox();
-                    finalize(task, &mut state, sh, local);
-                    return None;
+        let n = inbuf.len();
+        let run = &task.run;
+        let res = match &mut *state {
+            // Chains take the whole claimed batch in one stage-major
+            // traversal (identical observable semantics, one panic guard
+            // per batch instead of per record).
+            State::Chain { stages, out } => {
+                let mut no_scratch = Vec::new();
+                let next = if stages.len() > 1 {
+                    &mut **scratch.get_or_insert_with(pool::PooledVec::take)
+                } else {
+                    &mut no_scratch
+                };
+                let mut tally = ChainTally::default();
+                let res = run_chain(
+                    stages,
+                    sh.config.policy,
+                    sh.config.mismatch,
+                    &run.seq,
+                    &mut inbuf,
+                    next,
+                    &mut tally,
+                    &mut out.buf,
+                    &mut |dl| run.divert(dl),
+                );
+                run.trace.count_chain(&tally);
+                if out.buf.len() >= batch {
+                    out.flush(sh, local);
                 }
-                processed += 1;
+                res
             }
+            State::Route { router, out } => {
+                let mut wire = Wire {
+                    out,
+                    run,
+                    sh,
+                    local,
+                    batch,
+                };
+                let (policy, mismatch) = (sh.config.policy, sh.config.mismatch);
+                inbuf
+                    .drain(..)
+                    .try_for_each(|rec| router.route(rec, policy, mismatch, &run.seq, &mut wire))
+            }
+            State::Sink { buf, dest } => {
+                for rec in inbuf.drain(..) {
+                    buf.push(rec);
+                    if buf.len() >= batch {
+                        dest.flush(buf);
+                    }
+                }
+                Ok(())
+            }
+            // Post-teardown stragglers are dropped.
+            State::Done => {
+                inbuf.clear();
+                Ok(())
+            }
+        };
+        if let Err(e) = res {
+            run.fail(e);
+            task.clear_mailbox();
+            finalize(task, &mut state, sh, local);
+            return None;
         }
+        processed += n;
+    }
+    // A router's counts reach the trace once per activation (and at
+    // finalization, for the abort paths).
+    if let State::Route { router, .. } = &mut *state {
+        task.run.trace.count_route(&router.take_tally());
     }
 
     // Forward this activation's entire output: every edge gets at most
@@ -1223,24 +1228,10 @@ fn run_task(
 /// records, and the sink's buffered outputs into its destination.
 fn flush_outputs(state: &mut State, sh: &Shared, local: Option<&Worker<Arc<Task>>>) {
     match state {
-        State::Chain { out, .. } | State::Sync { out, .. } => {
-            out.flush(sh, local);
-        }
-        State::Par { branches, out, .. } => {
-            for b in branches.iter_mut() {
-                b.flush(sh, local);
-            }
-            out.flush(sh, local);
-        }
-        State::Star { into_body, out, .. } => {
-            if let Some(b) = into_body {
-                b.flush(sh, local);
-            }
-            out.flush(sh, local);
-        }
-        State::Split { replicas, out, .. } => {
-            for p in replicas.values_mut() {
-                p.flush(sh, local);
+        State::Chain { out, .. } => out.flush(sh, local),
+        State::Route { router, out } => {
+            for t in router.targets_mut() {
+                t.flush(sh, local);
             }
             out.flush(sh, local);
         }
@@ -1254,135 +1245,18 @@ fn flush_outputs(state: &mut State, sh: &Shared, local: Option<&Worker<Arc<Task>
 }
 
 /// Cooperative backpressure: stop consuming while the primary output
-/// mailbox is over the high-water mark. Dispatchers are exempt (their
-/// work per record is trivial and they feed many outputs). A streaming
-/// sink with undelivered records and a full output channel yields the
-/// same way — it must not grow its buffer while the consumer lags.
+/// mailbox is over the high-water mark. Dispatchers and star taps are
+/// exempt (their work per record is trivial and they feed many
+/// outputs); synchrocells are not. A streaming sink with undelivered
+/// records and a full output channel yields the same way — it must not
+/// grow its buffer while the consumer lags.
 fn output_backpressured(state: &State, sh: &Shared) -> bool {
     let hw = sh.high_water();
     match state {
-        State::Chain { out, .. } | State::Sync { out, .. } => out.backlog() >= hw,
+        State::Chain { out, .. } => out.backlog() >= hw,
+        State::Route { router, out } => router.is_sync() && out.backlog() >= hw,
         State::Sink { buf, dest } => !buf.is_empty() && dest.is_full(),
         _ => false,
-    }
-}
-
-/// Applies one record to a component (the shared small-step semantics),
-/// emitting downstream through the coalescing port buffers — downstream
-/// mailboxes see one push per [`EngineConfig::batch`] records (or per
-/// activation), not one per record.
-fn step(
-    state: &mut State,
-    rec: Record,
-    sh: &Shared,
-    run: &Arc<Run>,
-    local: Option<&Worker<Arc<Task>>>,
-) -> Result<(), SnetError> {
-    let batch = sh.config.batch.max(1);
-    match state {
-        // Chains take whole hand-off batches in `run_task`.
-        State::Chain { .. } => unreachable!("chain tasks never step record-at-a-time"),
-        State::Sync { spec, st, out } => {
-            match st.push(spec, rec) {
-                SyncOutcome::Stored => {
-                    Trace::add(&run.trace.sync_stores, 1);
-                }
-                SyncOutcome::Fired(m) => {
-                    Trace::add(&run.trace.sync_fires, 1);
-                    out.send(m, batch, sh, local);
-                }
-                SyncOutcome::Passed(r) => out.send(r, batch, sh, local),
-            }
-            Ok(())
-        }
-        State::Par {
-            patterns,
-            branches,
-            out,
-        } => {
-            let winners = semantics::matching_branches(patterns, &rec);
-            match winners.first() {
-                Some(&i) => {
-                    Trace::add(&run.trace.dispatched, 1);
-                    branches[i].send(rec, batch, sh, local);
-                    Ok(())
-                }
-                None => match sh.config.mismatch {
-                    MismatchPolicy::Forward => {
-                        Trace::add(&run.trace.passthroughs, 1);
-                        out.send(rec, batch, sh, local);
-                        Ok(())
-                    }
-                    MismatchPolicy::Error => {
-                        let cause = SnetError::TypeMismatch {
-                            expected: "any parallel branch".into(),
-                            got: format!("{rec:?}"),
-                        };
-                        fault::reject(sh.config.policy, "par-dispatch", &run.seq, rec, cause)
-                            .and_then(|dl| run.divert(dl))
-                    }
-                },
-            }
-        }
-        State::Star {
-            body,
-            exit,
-            into_body,
-            out,
-        } => {
-            if exit.matches(&rec) {
-                out.send(rec, batch, sh, local);
-                return Ok(());
-            }
-            if into_body.is_none() {
-                // Unfold one replica: body feeding the next tap, which
-                // shares our exit stream.
-                Trace::add(&run.trace.star_unfoldings, 1);
-                let next_tap = Task::new(
-                    State::Star {
-                        body: body.clone(),
-                        exit: exit.clone(),
-                        into_body: None,
-                        out: out.another(),
-                    },
-                    run,
-                );
-                let body_in = build(body, Port::new(&next_tap), run);
-                *into_body = Some(body_in);
-            }
-            into_body
-                .as_mut()
-                .expect("replica just unfolded")
-                .send(rec, batch, sh, local);
-            Ok(())
-        }
-        State::Split {
-            body,
-            tag,
-            replicas,
-            out,
-        } => {
-            let Some(value) = rec.tag(*tag) else {
-                let cause = SnetError::MissingTag(*tag);
-                return fault::reject(sh.config.policy, "split-dispatch", &run.seq, rec, cause)
-                    .and_then(|dl| run.divert(dl));
-            };
-            let port = replicas.entry(value).or_insert_with(|| {
-                Trace::add(&run.trace.split_replicas, 1);
-                build(body, out.another(), run)
-            });
-            Trace::add(&run.trace.dispatched, 1);
-            port.send(rec, batch, sh, local);
-            Ok(())
-        }
-        State::Sink { buf, dest } => {
-            buf.push(rec);
-            if buf.len() >= batch {
-                dest.flush(buf);
-            }
-            Ok(())
-        }
-        State::Done => Ok(()), // post-teardown stragglers are dropped
     }
 }
 
@@ -1403,29 +1277,10 @@ fn finalize(task: &Arc<Task>, state: &mut State, sh: &Shared, local: Option<&Wor
     let close = |p: Port| p.close(sh, local);
     match old {
         State::Chain { out, .. } => close(out),
-        State::Sync { st, out, .. } => {
-            let stranded = st.pending().count() as u64;
-            if stranded > 0 {
-                Trace::add(&task.run.trace.sync_stranded, stranded);
-            }
-            close(out);
-        }
-        State::Par { branches, out, .. } => {
-            for b in branches {
-                close(b);
-            }
-            close(out);
-        }
-        State::Star { into_body, out, .. } => {
-            if let Some(b) = into_body {
-                close(b);
-            }
-            close(out);
-        }
-        State::Split { replicas, out, .. } => {
-            for (_, p) in replicas {
-                close(p);
-            }
+        State::Route { router, out } => {
+            let (targets, tally) = router.finish();
+            targets.into_iter().for_each(close);
+            task.run.trace.count_route(&tally);
             close(out);
         }
         State::Sink { mut buf, dest } => {
@@ -1447,81 +1302,84 @@ fn finalize(task: &Arc<Task>, state: &mut State, sh: &Shared, local: Option<&Wor
 /// Recursively instantiates `spec` as a task subgraph of `run` feeding
 /// `output`, returning the subtree's input port.
 fn build(spec: &NetSpec, output: Port, run: &Arc<Run>) -> Port {
-    match spec {
-        NetSpec::Box(def) => chain_task(vec![ChainStage::Box(def.clone())], output, run),
-        NetSpec::Filter(f) => chain_task(vec![ChainStage::Filter(f.clone())], output, run),
-        NetSpec::FusedChain { stages } => chain_task(stages.clone(), output, run),
-        NetSpec::Sync(spec) => {
-            let t = Task::new(
-                State::Sync {
-                    st: spec.new_state(),
-                    spec: spec.clone(),
-                    out: output,
-                },
-                run,
-            );
-            Port::new(&t)
-        }
-        NetSpec::Serial(a, b) => {
-            let mid = build(b, output, run);
-            build(a, mid, run)
-        }
-        NetSpec::Parallel { branches, .. } => {
-            let patterns: Vec<Vec<Pattern>> = branches.iter().map(|b| b.input_patterns()).collect();
-            let ports: Vec<Port> = branches
-                .iter()
-                .map(|b| build(b, output.another(), run))
-                .collect();
-            let t = Task::new(
-                State::Par {
-                    patterns,
-                    branches: ports,
-                    out: output,
-                },
-                run,
-            );
-            Port::new(&t)
-        }
-        NetSpec::Star { body, exit, .. } => {
-            let t = Task::new(
-                State::Star {
-                    body: (**body).clone(),
-                    exit: exit.clone(),
-                    into_body: None,
-                    out: output,
-                },
-                run,
-            );
-            Port::new(&t)
-        }
-        NetSpec::Split { body, tag, .. } => {
-            // The scheduled engine, like the threaded one, ignores
-            // placement; `snet-dist` honours it on the simulated cluster.
-            let t = Task::new(
-                State::Split {
-                    body: (**body).clone(),
-                    tag: *tag,
-                    replicas: HashMap::new(),
-                    out: output,
-                },
-                run,
-            );
-            Port::new(&t)
-        }
-        NetSpec::At { body, .. } | NetSpec::Named { body, .. } => build(body, output, run),
-    }
-}
-
-/// A chain task feeding `output`, returning its input port.
-fn chain_task(stages: Vec<ChainStage>, output: Port, run: &Arc<Run>) -> Port {
-    let t = Task::new(
-        State::Chain {
-            stages,
+    let state = match spec {
+        NetSpec::Box(def) => State::Chain {
+            stages: vec![ChainStage::Box(def.clone())],
             out: output,
         },
-        run,
-    );
-    Port::new(&t)
+        NetSpec::Filter(f) => State::Chain {
+            stages: vec![ChainStage::Filter(f.clone())],
+            out: output,
+        },
+        NetSpec::FusedChain { stages } => State::Chain {
+            stages: stages.clone(),
+            out: output,
+        },
+        NetSpec::Serial(a, b) => {
+            let mid = build(b, output, run);
+            return build(a, mid, run);
+        }
+        // The scheduled engine, like the threaded one, ignores
+        // placement; `snet-dist` honours it on the simulated cluster.
+        NetSpec::At { body, .. } | NetSpec::Named { body, .. } => return build(body, output, run),
+        NetSpec::Parallel { .. }
+        | NetSpec::Star { .. }
+        | NetSpec::Split { .. }
+        | NetSpec::Sync(_) => {
+            let router = Router::new(spec, |b| build(b, output.another(), run))
+                .expect("a routing combinator");
+            State::Route {
+                router,
+                out: output,
+            }
+        }
+    };
+    Port::new(&Task::new(state, run))
+}
+
+/// A router task's wiring: coalescing mailbox ports, with replicas
+/// instantiated as fresh tasks of the same run.
+struct Wire<'a> {
+    out: &'a mut Port,
+    run: &'a Arc<Run>,
+    sh: &'a Shared,
+    local: Option<&'a Worker<Arc<Task>>>,
+    batch: usize,
+}
+
+impl Wiring for Wire<'_> {
+    type Target = Port;
+
+    fn emit(&mut self, rec: Record) -> Result<(), SnetError> {
+        self.out.send(rec, self.batch, self.sh, self.local);
+        Ok(())
+    }
+
+    fn send(&mut self, to: &mut Port, rec: Record) -> Result<(), SnetError> {
+        to.send(rec, self.batch, self.sh, self.local);
+        Ok(())
+    }
+
+    fn instantiate(&mut self, replica: Replica<'_, Port>) -> Port {
+        match replica {
+            // The body feeds the next tap, which shares our exit stream.
+            Replica::Star { body, tap } => {
+                let next_tap = Task::new(
+                    State::Route {
+                        router: tap,
+                        out: self.out.another(),
+                    },
+                    self.run,
+                );
+                build(body, Port::new(&next_tap), self.run)
+            }
+            Replica::Split { body, .. } => build(body, self.out.another(), self.run),
+        }
+    }
+
+    fn divert(&mut self, dl: Box<DeadLetter>) -> Result<(), SnetError> {
+        self.run.divert(dl)
+    }
 }
 
 /// Error returned by [`SchedHandle::try_send`].
@@ -1854,7 +1712,8 @@ impl Drop for SchedHandle {
 mod tests {
     use super::*;
     use snet_core::boxdef::{BoxDef, BoxOutput, BoxSig, Work};
-    use snet_core::{BinOp, FilterSpec, TagExpr, Value, Variant};
+    use snet_core::semantics::MismatchPolicy;
+    use snet_core::{BinOp, FilterSpec, Label, Pattern, SyncSpec, TagExpr, Value, Variant};
 
     fn int_box(name: &str, input: &str, output: &str, f: fn(i64) -> i64) -> NetSpec {
         let out_label = output.to_owned();

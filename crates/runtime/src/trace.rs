@@ -7,7 +7,7 @@
 //! unfired synchrocells at end-of-stream (almost always a coordination
 //! bug — the paper's merger net, for instance, must end with none).
 
-use snet_core::ChainTally;
+use snet_core::{ChainTally, RouteTally};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Shared event counters; all methods are thread-safe and cheap.
@@ -56,17 +56,28 @@ impl Trace {
     /// counters are run-global, so every add is a shared cache line,
     /// and a typical tally touches two.
     pub(crate) fn count_chain(&self, t: &ChainTally) {
-        for (counter, n) in [
+        fold([
             (&self.box_records, t.box_records),
             (&self.box_ops, t.box_ops),
             (&self.filter_records, t.filter_records),
             (&self.passthroughs, t.passthroughs),
             (&self.retries, t.retries),
-        ] {
-            if n > 0 {
-                counter.fetch_add(n, Ordering::Relaxed);
-            }
-        }
+        ]);
+    }
+
+    /// Folds a routing tally into the run counters — the one way
+    /// dispatch, star, split and synchrocell events reach a trace.
+    /// Zero deltas are skipped, as in [`Trace::count_chain`].
+    pub(crate) fn count_route(&self, t: &RouteTally) {
+        fold([
+            (&self.dispatched, t.dispatched),
+            (&self.passthroughs, t.passthroughs),
+            (&self.sync_stores, t.sync_stores),
+            (&self.sync_fires, t.sync_fires),
+            (&self.sync_stranded, t.sync_stranded),
+            (&self.star_unfoldings, t.star_unfoldings),
+            (&self.split_replicas, t.split_replicas),
+        ]);
     }
 
     /// Reads a counter.
@@ -93,6 +104,15 @@ impl Trace {
             self.dead_letters.load(Ordering::Relaxed),
             self.retries.load(Ordering::Relaxed),
         )
+    }
+}
+
+/// Adds each non-zero delta to its counter.
+fn fold<const N: usize>(deltas: [(&AtomicU64, u64); N]) {
+    for (counter, n) in deltas {
+        if n > 0 {
+            counter.fetch_add(n, Ordering::Relaxed);
+        }
     }
 }
 

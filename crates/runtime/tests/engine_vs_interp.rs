@@ -218,6 +218,28 @@ proptest! {
     }
 
     #[test]
+    fn threaded_and_sched_traces_agree(
+        net in arb_net(),
+        batch in prop::collection::vec(arb_record(), 0..16),
+    ) {
+        // On confluent nets every component sees the same records on
+        // both engines, whatever the arrival order, so the routing and
+        // chain counters must match exactly.
+        let (_, a) = Net::new(net.clone()).run_batch_traced(batch.clone()).unwrap();
+        let (_, b) = SchedNet::new(net).run_batch_traced(batch).unwrap();
+        for (name, x, y) in [
+            ("dispatched", &a.dispatched, &b.dispatched),
+            ("passthroughs", &a.passthroughs, &b.passthroughs),
+            ("star_unfoldings", &a.star_unfoldings, &b.star_unfoldings),
+            ("split_replicas", &a.split_replicas, &b.split_replicas),
+            ("box_records", &a.box_records, &b.box_records),
+            ("filter_records", &a.filter_records, &b.filter_records),
+        ] {
+            prop_assert_eq!(a.get(x), b.get(y), "{}", name);
+        }
+    }
+
+    #[test]
     fn sched_engine_is_worker_count_invariant(
         net in arb_net(),
         batch in prop::collection::vec(arb_record(), 0..12),

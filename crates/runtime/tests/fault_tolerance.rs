@@ -320,6 +320,107 @@ fn glue_errors_divert_under_dead_letter() {
     ));
 }
 
+/// A box consuming `{from}` and emitting `{to}` with the same value.
+fn relabel_box(name: &str, from: &'static str, to: &'static str) -> NetSpec {
+    NetSpec::Box(BoxDef::from_fn(
+        BoxSig::parse(name, &[from], &[&[to]]),
+        move |r| {
+            let v = r.field(from).cloned().unwrap_or(Value::Unit);
+            Ok(BoxOutput::one(
+                Record::new().with_field(to, v),
+                Work::ops(1),
+            ))
+        },
+    ))
+}
+
+#[test]
+fn unroutable_records_are_rejected_by_the_parallel_dispatcher() {
+    // `{a} | {b}` fed a `{c}` record under the strict mismatch policy:
+    // no branch matches, so the dispatcher rejects it. FailFast fails
+    // the run with the TypeMismatch; DeadLetter diverts exactly that
+    // record as "par-dispatch" while the rest of the batch flows on.
+    use snet_core::semantics::MismatchPolicy;
+    let net = NetSpec::parallel(vec![
+        relabel_box("fa", "a", "ra"),
+        relabel_box("fb", "b", "rb"),
+    ]);
+    let stray = Record::new().with_field("c", Value::Int(2));
+    let batch = vec![
+        Record::new().with_field("a", Value::Int(1)),
+        stray.clone(),
+        Record::new().with_field("b", Value::Int(3)),
+    ];
+    let config = |policy| EngineConfig {
+        mismatch: MismatchPolicy::Error,
+        policy,
+        ..EngineConfig::default()
+    };
+    let interp = |policy| {
+        Interp::new(&net)
+            .with_mismatch(MismatchPolicy::Error)
+            .with_policy(policy)
+            .run_batch(batch.clone())
+    };
+
+    let fail_fast = FailurePolicy::FailFast;
+    for (engine, err) in [
+        ("interp", interp(fail_fast).unwrap_err()),
+        (
+            "threaded",
+            Net::with_config(net.clone(), config(fail_fast))
+                .run_batch(batch.clone())
+                .unwrap_err(),
+        ),
+        (
+            "sched",
+            SchedNet::with_config(net.clone(), config(fail_fast))
+                .run_batch(batch.clone())
+                .unwrap_err(),
+        ),
+    ] {
+        assert!(
+            matches!(err, SnetError::TypeMismatch { .. }),
+            "{engine}: {err:?}"
+        );
+    }
+
+    let dead_letter = FailurePolicy::DeadLetter;
+    let res = interp(dead_letter).unwrap();
+    for (engine, outputs, dead) in [
+        ("interp", res.outputs, res.dead_letters),
+        {
+            let r = Net::with_config(net.clone(), config(dead_letter))
+                .run_batch_report(batch.clone())
+                .unwrap();
+            ("threaded", r.outputs, r.dead_letters)
+        },
+        {
+            let r = SchedNet::with_config(net.clone(), config(dead_letter))
+                .run_batch_report(batch.clone())
+                .unwrap();
+            ("sched", r.outputs, r.dead_letters)
+        },
+    ] {
+        assert_eq!(
+            multiset(&outputs),
+            multiset(&[
+                Record::new().with_field("ra", Value::Int(1)),
+                Record::new().with_field("rb", Value::Int(3)),
+            ]),
+            "{engine}"
+        );
+        assert_eq!(dead.len(), 1, "{engine}");
+        assert_eq!(dead[0].report.component, "par-dispatch", "{engine}");
+        assert_eq!(dead[0].record, stray, "{engine}");
+        assert!(
+            matches!(dead[0].report.cause, SnetError::TypeMismatch { .. }),
+            "{engine}: {:?}",
+            dead[0].report.cause
+        );
+    }
+}
+
 #[test]
 fn streaming_dead_letters_arrive_on_the_handle() {
     let spec = FaultSpec::errors(0x0dead, 3, u32::MAX);

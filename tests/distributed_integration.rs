@@ -4,7 +4,7 @@
 //! ablation.
 
 use snet_apps::{run_mpi_raytrace, run_snet_cluster, NetVariant, Schedule, SnetConfig, Workload};
-use snet_dist::OverheadModel;
+use snet_dist::{OverheadModel, StatsSnapshot};
 use snet_raytracer::ScenePreset;
 use snet_simnet::ClusterSpec;
 
@@ -372,5 +372,48 @@ fn mpi_baseline_charges_no_snet_overhead() {
     assert_eq!(
         mpi_a, mpi_b,
         "the baseline does not depend on the overhead model at all"
+    );
+}
+
+#[test]
+fn dynamic_net_hop_charges_are_pinned() {
+    // Golden run of the Fig 4 dynamic net on a small scene: the exact
+    // virtual makespan, runtime counters and event count. Any change to
+    // how the cluster engine charges hops, dispatches, star unfoldings,
+    // split replicas or synchrocells moves at least one of them.
+    let wl = Workload {
+        preset: ScenePreset::Clustered,
+        spheres: 40,
+        seed: 2010,
+        width: 64,
+        height: 64,
+    };
+    let nodes = 4;
+    let out = run_snet_cluster(
+        &wl,
+        &SnetConfig::fig6_dynamic(nodes),
+        testbed(nodes),
+        OverheadModel::default(),
+    )
+    .unwrap();
+    assert_eq!(out.image, wl.reference_image());
+    assert_eq!(out.makespan_secs.to_bits(), 0x3fa1_9112_b767_b5c7);
+    assert_eq!(out.events, 15_633);
+    assert_eq!(out.processes, 500);
+    assert_eq!(
+        out.stats,
+        StatsSnapshot {
+            records_hopped: 4_977,
+            glue_ops: 13_484_000,
+            box_ops: 1_899_193,
+            wire_bytes: 39_632,
+            sync_stores: 63,
+            sync_fires: 47,
+            sync_stranded: 16,
+            star_unfoldings: 63,
+            split_replicas: 20,
+            dispatched: 1_680,
+            passthroughs: 0,
+        }
     );
 }
