@@ -84,9 +84,10 @@ pub struct Router<T> {
     tally: RouteTally,
 }
 
-/// Every tap of one star shares its body.
+/// Every tap of one star shares its body, and every fork of one
+/// parallel its branch patterns.
 enum Kind {
-    Par(Vec<Vec<Pattern>>),
+    Par(Arc<[Vec<Pattern>]>),
     Star(Arc<NetSpec>, Pattern),
     /// `values[i]` is the tag value of `targets[i]`.
     Split {
@@ -146,9 +147,26 @@ impl<T> Router<T> {
         }
     }
 
-    /// Synchrocells feed one output; dispatchers and taps feed many.
-    pub fn is_sync(&self) -> bool {
-        matches!(self.kind, Kind::Sync(..))
+    /// Another parallel dispatcher over the same branches, for another
+    /// sender: it shares the branch patterns and routes into `fork` of
+    /// each of this router's targets, with a tally of its own. A
+    /// parallel holds no per-record state, so an engine may give every
+    /// sender its copy and run dispatch in the sender.
+    ///
+    /// # Panics
+    ///
+    /// On a star tap, split or synchrocell, whose state is per instance.
+    pub fn fork(&self, fork: impl FnMut(&T) -> T) -> Router<T> {
+        let Kind::Par(patterns) = &self.kind else {
+            panic!(
+                "only a parallel dispatcher forks, not a {}",
+                self.component()
+            );
+        };
+        Router::of(
+            Kind::Par(Arc::clone(patterns)),
+            self.targets.iter().map(fork).collect(),
+        )
     }
 
     /// The counts since the last take.
@@ -157,8 +175,13 @@ impl<T> Router<T> {
     }
 
     /// The targets built so far, in teardown order.
-    pub fn targets_mut(&mut self) -> std::slice::IterMut<'_, T> {
-        self.targets.iter_mut()
+    pub fn targets(&self) -> &[T] {
+        &self.targets
+    }
+
+    /// The targets built so far, in teardown order.
+    pub fn targets_mut(&mut self) -> &mut [T] {
+        &mut self.targets
     }
 
     /// Routes one record. A parallel hands it to the first branch with
@@ -368,6 +391,24 @@ mod tests {
     }
 
     #[test]
+    fn a_forked_parallel_routes_alike_into_its_own_targets() {
+        let spec = NetSpec::parallel(vec![boxed("a", "a"), boxed("b", "b")]);
+        let mut original = router(&spec);
+        let mut fork = original.fork(|t| t + 10);
+        assert_eq!(fork.targets(), [10, 11]);
+        let log = route_all(&mut fork, [field("b"), field("a"), field("c")]);
+        assert_eq!(destinations(&log), [Some(11), Some(10), None]);
+        assert_eq!(fork.take_tally().dispatched, 2);
+        assert_eq!(original.take_tally(), RouteTally::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "only a parallel dispatcher forks")]
+    fn only_a_parallel_forks() {
+        router(&NetSpec::split(boxed("w", "x"), "k")).fork(|t| *t);
+    }
+
+    #[test]
     fn parallel_rejects_unroutable_records_under_the_strict_policy() {
         let spec = NetSpec::parallel(vec![boxed("a", "a"), boxed("b", "b")]);
         let mut router = router(&spec);
@@ -433,7 +474,6 @@ mod tests {
     fn synchrocell_stores_fires_then_passes_through() {
         let spec = NetSpec::Sync(SyncSpec::new(vec![pattern(&["a"]), pattern(&["b"])]));
         let mut router = router(&spec);
-        assert!(router.is_sync());
         let log = route_all(
             &mut router,
             [field("a"), field("a"), field("b"), field("b")],

@@ -27,9 +27,16 @@
 //!   work-stealing worker pool ([`EngineConfig::workers`]; default 4).
 //!   The pool spawns on the first run and lives until the `SchedNet`
 //!   drops, so consecutive batches and any number of streaming runs
-//!   reuse the same OS threads — no per-call spawn/join. A component
-//!   runs when input is in its mailbox, drains up to a budget, and
-//!   yields; end-of-stream is sender refcounting, and a run's
+//!   reuse the same OS threads — no per-call spawn/join. Chains of
+//!   boxes and filters, star taps, index splits, synchrocells and the
+//!   sink are tasks: each runs when input is in its mailbox, drains
+//!   up to a budget, and yields. Parallel dispatch and the identity
+//!   filter `[]` keep no state, so they are no tasks: the sending task
+//!   routes or forwards each record itself, in its own activation,
+//!   straight into the mailboxes behind them (a root that would run
+//!   in the sender gets a zero-stage chain as the run's entry task, so
+//!   ingress stays one bounded mailbox). End-of-stream is sender
+//!   refcounting, and a run's
 //!   completion is wake-driven (the sink's finalization signals the
 //!   driver — no polling). [`SchedNet::start`] returns a
 //!   [`SchedHandle`] with *bounded ingress*: `send` blocks (and
@@ -75,7 +82,9 @@
 //! Under the hood the worker deques are a lock-free Chase–Lev
 //! implementation (see the `crossbeam-deque` shim), so stealing no
 //! longer serializes on a mutex either. Backpressure is cooperative:
-//! a task whose downstream mailbox is over the high-water mark stops
+//! a task with any downstream mailbox over the high-water mark — a
+//! chain's output, a router's output or any of its built targets, the
+//! branches behind a parallel dispatched in the sender — stops
 //! consuming and re-enqueues itself with exponential backoff (1µs
 //! doubling to ~1ms) rather than spinning on the global queue.
 //!
@@ -97,8 +106,11 @@
 //! [`snet_core::fusion::run_chain`]. Combinator boundaries
 //! that can reorder, replicate, or synchronize records —
 //! parallel/split dispatch and merge, star unfolding, synchrocells —
-//! are never fused across; mailboxes remain exactly there, so the
-//! observable record flow (and the interpreter oracle) is unchanged.
+//! are never fused across: the branches and replicas on either side
+//! stay separate chains (a parallel's dispatch runs in the sending
+//! task on the scheduled engine, but hands each record to its branch's
+//! own mailbox), so the observable record flow (and the interpreter
+//! oracle) is unchanged.
 //!
 //! Fusion preserves **per-stage fault semantics**: each stage inside a
 //! chain still runs under its own [`FailurePolicy`], a
@@ -273,20 +285,30 @@
 //! records on ~100 total allocations (0 per record), and the unfused
 //! path is a flat constant too.
 //!
-//! **The RSS ceiling**: with `cap = channel_capacity` and `C`
-//! components in the run's graph, records in flight are bounded by
+//! **The RSS ceiling**: with `cap = channel_capacity` and `C` tasks
+//! in the run's graph, records in flight are bounded by
 //!
 //! ```text
 //! in_flight  <=  cap              (ingress channel)
-//!             +  C * 16 * cap     (per-component mailbox high-water)
+//!             +  C * 16 * cap     (per-task mailbox high-water)
+//!             +  16 * cap         (the sink's undelivered records)
 //!             +  cap              (egress channel)
 //! ```
 //!
-//! (plus one hand-off batch of slop per edge), so peak RSS above the
-//! binary-plus-pool baseline is `O(in_flight * record_size)` — a
-//! function of topology and configuration only. `tests/memory_soak.rs`
-//! pins it: a million records through a throttled depth-8 pipeline grow
-//! peak RSS by ~2 MiB. At macro scale the same holds across many
+//! (plus, per task, an activation's claimed input and output and one
+//! hand-off batch of slop per edge). The bound holds because *every*
+//! task backs off: a chain, star tap, split or synchrocell stops
+//! consuming while its output or any target it has built is at the
+//! high-water mark (a parallel or `[]` run in the sender counts as
+//! the mailboxes behind it), and a streaming sink stops while it holds
+//! a high-water mark of undelivered records, or any with the output
+//! channel full. Peak RSS above the binary-plus-pool baseline is
+//! therefore `O(in_flight * record_size)` — a function of topology
+//! and configuration only. `tests/memory_soak.rs` pins it: a million
+//! records through a throttled depth-8 pipeline grow peak RSS by
+//! ~2 MiB, and `tests/sched_streaming.rs` holds the records resident
+//! behind a root parallel, a box feeding a parallel and a root split
+//! under the same bound. At macro scale the same holds across many
 //! concurrent sessions on one pool: the gated
 //! `crates/bench/src/bin/macro_scale.rs` harness streams >= 1M records
 //! over 8 sessions and reports sustained throughput, p50/p99

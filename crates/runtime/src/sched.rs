@@ -9,8 +9,14 @@
 //! This module multiplexes the same component graph over a fixed pool
 //! of workers instead:
 //!
-//! * every component instance (box, filter, synchrocell, dispatcher,
-//!   star tap) is a lightweight **task** with an SPSC mailbox;
+//! * every stateful or computing component instance — a chain of
+//!   boxes and filters (a lone box or filter is a one-stage chain), a
+//!   star tap, an index-split dispatcher, a synchrocell, and the run's
+//!   sink — is a lightweight **task** with a mailbox;
+//! * the stateless routing between them runs in the *sender*: a
+//!   parallel dispatcher and an identity filter `[]` are ports, not
+//!   tasks, so a record crosses them inside the activation that emits
+//!   it, with no mailbox hop, wake or activation of their own;
 //! * a task becomes **runnable** when a record lands in its mailbox (or
 //!   its last upstream sender closes), and is then queued on a
 //!   work-stealing deque ([`crossbeam_deque`]);
@@ -18,7 +24,7 @@
 //!   applying the *same* small-step semantics
 //!   ([`snet_core::semantics`]) as the threaded engine and the
 //!   reference interpreter, then yields the task back to the scheduler;
-//! * a task whose output mailbox is over the high-water mark stops
+//! * a task with any downstream mailbox over the high-water mark stops
 //!   consuming input and re-queues itself — cooperative backpressure in
 //!   place of bounded-channel blocking.
 //!
@@ -276,7 +282,7 @@ impl SchedNet {
             // failed and `finish()` reports the analysis error.
             run.fail(SnetError::Analysis(self.preflight.clone()));
         }
-        let entry = build(&self.plan, Port::new(&sink), &run);
+        let entry = build_entry(&self.plan, &sink, &run);
         SchedHandle {
             input: Mutex::new(Some(entry)),
             output: out_rx,
@@ -332,9 +338,10 @@ impl SchedNet {
             },
             &run,
         );
-        let entry = build(&self.plan, Port::new(&sink), &run);
-        entry.send_now(records, &self.shared, None);
-        entry.close(&self.shared, None);
+        let entry = build_entry(&self.plan, &sink, &run);
+        let cx = Cx::new(&run, &self.shared, None);
+        entry.send_now(records, cx);
+        entry.close(cx);
         run.wait_done();
         if let Some(e) = run.error.lock().take() {
             return Err(e);
@@ -543,12 +550,12 @@ enum State {
     /// filter is a one-stage chain): each activation pushes its claimed
     /// batch through every stage with zero mailbox hops. The task owns
     /// no scratch: the activation's pooled input buffer is the chain
-    /// input and the last stage writes straight into `out`'s coalescing
-    /// buffer.
+    /// input, and the last stage writes straight into `out`'s coalescing
+    /// buffer when `out` is a mailbox. A zero-stage chain is the entry
+    /// task of a run whose root runs in the sender.
     Chain { stages: Vec<ChainStage>, out: Port },
-    /// A parallel dispatcher, star tap, index-split dispatcher or
-    /// synchrocell: the router decides, its targets and `out` are this
-    /// task's output ports.
+    /// A star tap, index-split dispatcher or synchrocell: the router
+    /// decides, its targets and `out` are this task's output ports.
     Route { router: Router<Port>, out: Port },
     /// Terminal output collector; records coalesce in `buf` and move to
     /// `dest` once per batch/activation.
@@ -626,10 +633,32 @@ impl Task {
     }
 }
 
+/// What a port needs from the activation sending through it: the run
+/// (trace, fault sequence, dead letters), the pool, the worker deque
+/// that woken tasks go to, and the hand-off batch size.
+#[derive(Clone, Copy)]
+struct Cx<'a> {
+    run: &'a Arc<Run>,
+    sh: &'a Shared,
+    local: Option<&'a Worker<Arc<Task>>>,
+    batch: usize,
+}
+
+impl<'a> Cx<'a> {
+    fn new(run: &'a Arc<Run>, sh: &'a Shared, local: Option<&'a Worker<Arc<Task>>>) -> Cx<'a> {
+        Cx {
+            run,
+            sh,
+            local,
+            batch: sh.config.batch.max(1),
+        }
+    }
+}
+
 /// An open upstream handle onto a task's mailbox. Creating one
-/// increments the task's sender count; [`Port::close`] decrements it.
-/// Ports are closed explicitly (not on drop) so the close can schedule
-/// the receiving task.
+/// increments the task's sender count; [`Mailbox::close`] decrements
+/// it. Ports are closed explicitly (not on drop) so the close can
+/// schedule the receiving task.
 ///
 /// Sends coalesce in `buf` (owned by the producing task's activation —
 /// the state lock serializes all access): records are pushed downstream
@@ -639,36 +668,32 @@ impl Task {
 /// activations is an *empty* buffer — every activation flushes all of
 /// its output edges before yielding, so no record can be stranded in a
 /// buffer while its producer waits.
-struct Port {
+struct Mailbox {
     task: Arc<Task>,
     buf: Vec<Record>,
 }
 
-impl Port {
-    fn new(task: &Arc<Task>) -> Port {
+impl Mailbox {
+    fn new(task: &Arc<Task>) -> Mailbox {
         task.open_senders.fetch_add(1, Ordering::AcqRel);
-        Port {
+        Mailbox {
             task: Arc::clone(task),
             buf: pool::take_vec(),
         }
     }
 
-    fn another(&self) -> Port {
-        Port::new(&self.task)
-    }
-
     /// Buffered send: coalesces until `batch` records are pending, then
     /// pushes the whole run with one lock acquisition and one wake.
-    fn send(&mut self, rec: Record, batch: usize, sh: &Shared, local: Option<&Worker<Arc<Task>>>) {
+    fn send(&mut self, rec: Record, cx: Cx<'_>) {
         self.buf.push(rec);
-        if self.buf.len() >= batch {
-            self.flush(sh, local);
+        if self.buf.len() >= cx.batch {
+            self.flush(cx);
         }
     }
 
     /// Pushes any buffered records downstream: one mailbox lock, one
     /// consumer wake, however many records.
-    fn flush(&mut self, sh: &Shared, local: Option<&Worker<Arc<Task>>>) {
+    fn flush(&mut self, cx: Cx<'_>) {
         if self.buf.is_empty() {
             return;
         }
@@ -676,17 +701,12 @@ impl Port {
             let mut mb = self.task.mailbox.lock();
             mb.extend(self.buf.drain(..));
         }
-        notify(&self.task, sh, local);
+        notify(&self.task, cx.sh, cx.local);
     }
 
     /// Unbuffered batch send (batch-driver feed path): extends the
     /// mailbox under one lock and wakes the consumer once.
-    fn send_now(
-        &self,
-        recs: impl IntoIterator<Item = Record>,
-        sh: &Shared,
-        local: Option<&Worker<Arc<Task>>>,
-    ) {
+    fn send_now(&self, recs: impl IntoIterator<Item = Record>, cx: Cx<'_>) {
         let any = {
             let mut mb = self.task.mailbox.lock();
             let before = mb.len();
@@ -694,7 +714,7 @@ impl Port {
             mb.len() > before
         };
         if any {
-            notify(&self.task, sh, local);
+            notify(&self.task, cx.sh, cx.local);
         }
     }
 
@@ -702,14 +722,133 @@ impl Port {
         self.task.mailbox.lock().len()
     }
 
-    fn close(mut self, sh: &Shared, local: Option<&Worker<Arc<Task>>>) {
+    fn close(mut self, cx: Cx<'_>) {
         // Sends happen-before close: drain the coalescing buffer first.
-        self.flush(sh, local);
+        self.flush(cx);
         pool::give_vec(std::mem::take(&mut self.buf));
         if self.task.open_senders.fetch_sub(1, Ordering::AcqRel) == 1 {
             // Last sender gone: the task must run once more to observe
             // end-of-stream and finalize.
-            notify(&self.task, sh, local);
+            notify(&self.task, cx.sh, cx.local);
+        }
+    }
+}
+
+/// A sender's handle on a component's input. A task's input is its
+/// [`Mailbox`]. A parallel dispatcher and an identity filter `[]` keep
+/// no state between records, so they are no tasks: the sending task
+/// runs them in its own activation, through its own copy of the port
+/// ([`Port::another`]), and only the mailboxes behind them see a
+/// hand-off. Their counts fold into the run's trace at every flush.
+enum Port {
+    Mailbox(Mailbox),
+    /// An identity filter: forwards every record to `out`, counting it
+    /// as a filter record.
+    Identity {
+        out: Box<Port>,
+        records: u64,
+    },
+    /// A parallel dispatcher: routes into the router's branches, or
+    /// passes an unmatched record on to `out`.
+    Dispatch(Box<Dispatch>),
+}
+
+struct Dispatch {
+    router: Router<Port>,
+    out: Port,
+}
+
+impl Port {
+    fn task(task: &Arc<Task>) -> Port {
+        Port::Mailbox(Mailbox::new(task))
+    }
+
+    /// A port for another sender onto the same input: another mailbox
+    /// handle, or a copy of an inline component over copies of its
+    /// downstream ports.
+    fn another(&self) -> Port {
+        match self {
+            Port::Mailbox(m) => Port::task(&m.task),
+            Port::Identity { out, .. } => Port::Identity {
+                out: Box::new(out.another()),
+                records: 0,
+            },
+            Port::Dispatch(d) => Port::Dispatch(Box::new(Dispatch {
+                router: d.router.fork(Port::another),
+                out: d.out.another(),
+            })),
+        }
+    }
+
+    /// Sends one record. Inline components act on it here, so this
+    /// fails where a parallel dispatcher rejects the record.
+    fn send(&mut self, rec: Record, cx: Cx<'_>) -> Result<(), SnetError> {
+        match self {
+            Port::Mailbox(m) => {
+                m.send(rec, cx);
+                Ok(())
+            }
+            Port::Identity { out, records } => {
+                *records += 1;
+                out.send(rec, cx)
+            }
+            Port::Dispatch(d) => {
+                let Dispatch { router, out } = &mut **d;
+                let (policy, mismatch) = (cx.sh.config.policy, cx.sh.config.mismatch);
+                router.route(rec, policy, mismatch, &cx.run.seq, &mut Wire { out, cx })
+            }
+        }
+    }
+
+    /// Pushes every buffered record downstream and folds the counts of
+    /// inline components into the trace.
+    fn flush(&mut self, cx: Cx<'_>) {
+        match self {
+            Port::Mailbox(m) => m.flush(cx),
+            Port::Identity { out, records } => {
+                cx.run.trace.count_chain(&ChainTally {
+                    filter_records: std::mem::take(records),
+                    ..ChainTally::default()
+                });
+                out.flush(cx);
+            }
+            Port::Dispatch(d) => {
+                for t in d.router.targets_mut() {
+                    t.flush(cx);
+                }
+                cx.run.trace.count_route(&d.router.take_tally());
+                d.out.flush(cx);
+            }
+        }
+    }
+
+    /// Records waiting in the mailbox behind this port; an inline
+    /// component reports its fullest downstream mailbox.
+    fn backlog(&self) -> usize {
+        match self {
+            Port::Mailbox(m) => m.backlog(),
+            Port::Identity { out, .. } => out.backlog(),
+            Port::Dispatch(d) => d
+                .router
+                .targets()
+                .iter()
+                .map(Port::backlog)
+                .fold(d.out.backlog(), usize::max),
+        }
+    }
+
+    fn close(mut self, cx: Cx<'_>) {
+        self.flush(cx);
+        match self {
+            Port::Mailbox(m) => m.close(cx),
+            Port::Identity { out, .. } => out.close(cx),
+            Port::Dispatch(d) => {
+                // The flush above folded the counts; a parallel strands
+                // nothing.
+                let Dispatch { router, out } = *d;
+                router.finish().0.into_iter().for_each(|t| t.close(cx));
+                out.close(cx);
+            }
         }
     }
 }
@@ -1032,7 +1171,8 @@ fn run_task(
         return None;
     }
 
-    let batch = sh.config.batch.max(1);
+    let cx = Cx::new(&task.run, sh, local);
+    let batch = cx.batch;
     let budget = ACTIVATION_BUDGET.max(batch);
     // Probing the downstream mailbox for backpressure takes its lock;
     // amortize the check over at least a batch (and no fewer than 16
@@ -1048,6 +1188,9 @@ fn run_task(
     // The ping-pong partner of `inbuf` for multi-stage chains, drawn
     // from the pool on first use; one-stage chains never touch it.
     let mut scratch: Option<pool::PooledVec> = None;
+    // A chain's output on its way into an inline port, drawn from the
+    // pool on first use; a chain feeding a mailbox never touches it.
+    let mut staged: Option<pool::PooledVec> = None;
     while processed < budget {
         if processed >= next_bp_check {
             // Mid-drain preemption point, amortized on the same stride
@@ -1057,7 +1200,7 @@ fn run_task(
                 finalize(task, &mut state, sh, local);
                 return None;
             }
-            if output_backpressured(&state, sh) {
+            if output_backpressured(&state, sh, batch) {
                 break;
             }
             next_bp_check = processed + bp_stride;
@@ -1089,6 +1232,10 @@ fn run_task(
                 } else {
                     &mut no_scratch
                 };
+                let dst = match out {
+                    Port::Mailbox(m) => &mut m.buf,
+                    _ => &mut **staged.get_or_insert_with(pool::PooledVec::take),
+                };
                 let mut tally = ChainTally::default();
                 let res = run_chain(
                     stages,
@@ -1098,23 +1245,27 @@ fn run_task(
                     &mut inbuf,
                     next,
                     &mut tally,
-                    &mut out.buf,
+                    dst,
                     &mut |dl| run.divert(dl),
                 );
                 run.trace.count_chain(&tally);
-                if out.buf.len() >= batch {
-                    out.flush(sh, local);
-                }
-                res
+                // Outputs of a failed batch still go on, as they would
+                // from a mailbox's buffer when the task finalizes.
+                let handed = match out {
+                    Port::Mailbox(m) => {
+                        if m.buf.len() >= batch {
+                            m.flush(cx);
+                        }
+                        Ok(())
+                    }
+                    inline => staged.as_mut().map_or(Ok(()), |recs| {
+                        recs.drain(..).try_for_each(|r| inline.send(r, cx))
+                    }),
+                };
+                res.and(handed)
             }
             State::Route { router, out } => {
-                let mut wire = Wire {
-                    out,
-                    run,
-                    sh,
-                    local,
-                    batch,
-                };
+                let mut wire = Wire { out, cx };
                 let (policy, mismatch) = (sh.config.policy, sh.config.mismatch);
                 inbuf
                     .drain(..)
@@ -1152,7 +1303,7 @@ fn run_task(
     // Forward this activation's entire output: every edge gets at most
     // one more mailbox push + wake, and the between-activations
     // invariant (empty coalescing buffers) is restored.
-    flush_outputs(&mut state, sh, local);
+    flush_outputs(&mut state, cx);
     if processed > 0 {
         task.backoff.store(0, Ordering::Relaxed);
     }
@@ -1226,14 +1377,14 @@ fn run_task(
 /// Flushes every coalescing output buffer reachable from `state`: one
 /// downstream mailbox push + consumer wake per edge with pending
 /// records, and the sink's buffered outputs into its destination.
-fn flush_outputs(state: &mut State, sh: &Shared, local: Option<&Worker<Arc<Task>>>) {
+fn flush_outputs(state: &mut State, cx: Cx<'_>) {
     match state {
-        State::Chain { out, .. } => out.flush(sh, local),
+        State::Chain { out, .. } => out.flush(cx),
         State::Route { router, out } => {
             for t in router.targets_mut() {
-                t.flush(sh, local);
+                t.flush(cx);
             }
-            out.flush(sh, local);
+            out.flush(cx);
         }
         // The sink is absent on purpose: its delivery cadence is decided
         // in `run_task`'s tail (full batches, or everything once its
@@ -1244,19 +1395,27 @@ fn flush_outputs(state: &mut State, sh: &Shared, local: Option<&Worker<Arc<Task>
     }
 }
 
-/// Cooperative backpressure: stop consuming while the primary output
-/// mailbox is over the high-water mark. Dispatchers and star taps are
-/// exempt (their work per record is trivial and they feed many
-/// outputs); synchrocells are not. A streaming sink with undelivered
-/// records and a full output channel yields the same way — it must not
-/// grow its buffer while the consumer lags.
-fn output_backpressured(state: &State, sh: &Shared) -> bool {
+/// Cooperative backpressure: stop consuming while any mailbox the task
+/// feeds is at the high-water mark — a chain's output, or a router's
+/// output and every target it has built. A port that runs a parallel
+/// dispatcher or `[]` in the sender reports its fullest downstream
+/// mailbox, so a router or chain in front of one is held back by the
+/// branches behind it. A streaming sink yields the same way while it
+/// holds a high-water mark of undelivered records (at least a batch,
+/// which `run_task`'s tail then retries delivering), or any with the
+/// output channel full: its buffer must not grow while the consumer
+/// lags, even when the consumer drains a few records at a time.
+fn output_backpressured(state: &State, sh: &Shared, batch: usize) -> bool {
     let hw = sh.high_water();
     match state {
         State::Chain { out, .. } => out.backlog() >= hw,
-        State::Route { router, out } => router.is_sync() && out.backlog() >= hw,
-        State::Sink { buf, dest } => !buf.is_empty() && dest.is_full(),
-        _ => false,
+        State::Route { router, out } => {
+            out.backlog() >= hw || router.targets().iter().any(|t| t.backlog() >= hw)
+        }
+        State::Sink { buf, dest } => {
+            buf.len() >= hw.max(batch) || !buf.is_empty() && dest.is_full()
+        }
+        State::Done => false,
     }
 }
 
@@ -1274,7 +1433,8 @@ fn finalize(task: &Arc<Task>, state: &mut State, sh: &Shared, local: Option<&Wor
         task.ingress_cv.notify_all();
     }
     let old = std::mem::replace(state, State::Done);
-    let close = |p: Port| p.close(sh, local);
+    let cx = Cx::new(&task.run, sh, local);
+    let close = |p: Port| p.close(cx);
     match old {
         State::Chain { out, .. } => close(out),
         State::Route { router, out } => {
@@ -1299,14 +1459,38 @@ fn finalize(task: &Arc<Task>, state: &mut State, sh: &Shared, local: Option<&Wor
     }
 }
 
+/// Instantiates `spec` feeding `sink` and returns the run's entry,
+/// which is always a task's mailbox, so that
+/// [`EngineConfig::channel_capacity`] bounds ingress: a root that runs
+/// in its sender gets a zero-stage chain task in front.
+fn build_entry(spec: &NetSpec, sink: &Arc<Task>, run: &Arc<Run>) -> Mailbox {
+    match build(spec, Port::task(sink), run) {
+        Port::Mailbox(entry) => entry,
+        inline => Mailbox::new(&Task::new(
+            State::Chain {
+                stages: Vec::new(),
+                out: inline,
+            },
+            run,
+        )),
+    }
+}
+
 /// Recursively instantiates `spec` as a task subgraph of `run` feeding
-/// `output`, returning the subtree's input port.
+/// `output`, returning the subtree's input port. A parallel and an
+/// identity filter create no task: their port runs in the sender.
 fn build(spec: &NetSpec, output: Port, run: &Arc<Run>) -> Port {
     let state = match spec {
         NetSpec::Box(def) => State::Chain {
             stages: vec![ChainStage::Box(def.clone())],
             out: output,
         },
+        NetSpec::Filter(f) if f.is_identity() => {
+            return Port::Identity {
+                out: Box::new(output),
+                records: 0,
+            }
+        }
         NetSpec::Filter(f) => State::Chain {
             stages: vec![ChainStage::Filter(f.clone())],
             out: output,
@@ -1322,42 +1506,39 @@ fn build(spec: &NetSpec, output: Port, run: &Arc<Run>) -> Port {
         // The scheduled engine, like the threaded one, ignores
         // placement; `snet-dist` honours it on the simulated cluster.
         NetSpec::At { body, .. } | NetSpec::Named { body, .. } => return build(body, output, run),
-        NetSpec::Parallel { .. }
-        | NetSpec::Star { .. }
-        | NetSpec::Split { .. }
-        | NetSpec::Sync(_) => {
+        NetSpec::Parallel { .. } => {
             let router = Router::new(spec, |b| build(b, output.another(), run))
                 .expect("a routing combinator");
-            State::Route {
+            return Port::Dispatch(Box::new(Dispatch {
                 router,
                 out: output,
-            }
+            }));
         }
+        NetSpec::Star { .. } | NetSpec::Split { .. } | NetSpec::Sync(_) => State::Route {
+            router: Router::new(spec, |_| unreachable!("only a parallel has branches"))
+                .expect("a routing combinator"),
+            out: output,
+        },
     };
-    Port::new(&Task::new(state, run))
+    Port::task(&Task::new(state, run))
 }
 
-/// A router task's wiring: coalescing mailbox ports, with replicas
+/// A router's wiring: its output and target ports, with replicas
 /// instantiated as fresh tasks of the same run.
 struct Wire<'a> {
     out: &'a mut Port,
-    run: &'a Arc<Run>,
-    sh: &'a Shared,
-    local: Option<&'a Worker<Arc<Task>>>,
-    batch: usize,
+    cx: Cx<'a>,
 }
 
 impl Wiring for Wire<'_> {
     type Target = Port;
 
     fn emit(&mut self, rec: Record) -> Result<(), SnetError> {
-        self.out.send(rec, self.batch, self.sh, self.local);
-        Ok(())
+        self.out.send(rec, self.cx)
     }
 
     fn send(&mut self, to: &mut Port, rec: Record) -> Result<(), SnetError> {
-        to.send(rec, self.batch, self.sh, self.local);
-        Ok(())
+        to.send(rec, self.cx)
     }
 
     fn instantiate(&mut self, replica: Replica<'_, Port>) -> Port {
@@ -1369,16 +1550,16 @@ impl Wiring for Wire<'_> {
                         router: tap,
                         out: self.out.another(),
                     },
-                    self.run,
+                    self.cx.run,
                 );
-                build(body, Port::new(&next_tap), self.run)
+                build(body, Port::task(&next_tap), self.cx.run)
             }
-            Replica::Split { body, .. } => build(body, self.out.another(), self.run),
+            Replica::Split { body, .. } => build(body, self.out.another(), self.cx.run),
         }
     }
 
     fn divert(&mut self, dl: Box<DeadLetter>) -> Result<(), SnetError> {
-        self.run.divert(dl)
+        self.cx.run.divert(dl)
     }
 }
 
@@ -1423,7 +1604,7 @@ impl std::error::Error for TrySendError {
 /// cascade. All methods take `&self`, so one thread can feed the
 /// network while another drains it.
 pub struct SchedHandle {
-    input: Mutex<Option<Port>>,
+    input: Mutex<Option<Mailbox>>,
     output: Receiver<Record>,
     dead: Receiver<DeadLetter>,
     run: Arc<Run>,
@@ -1554,8 +1735,8 @@ impl SchedHandle {
     /// Closes the input stream (end-of-stream for the network).
     /// Idempotent.
     pub fn close_input(&self) {
-        if let Some(port) = self.input.lock().take() {
-            port.close(&self.sh, None);
+        if let Some(entry) = self.input.lock().take() {
+            entry.close(Cx::new(&self.run, &self.sh, None));
         }
     }
 

@@ -32,7 +32,7 @@ pub struct Trace {
     pub star_unfoldings: AtomicU64,
     /// Index-split replica instantiations.
     pub split_replicas: AtomicU64,
-    /// Records routed by parallel dispatchers.
+    /// Records handed to a parallel branch or an index-split replica.
     pub dispatched: AtomicU64,
     /// Records diverted to the dead-letter stream.
     pub dead_letters: AtomicU64,

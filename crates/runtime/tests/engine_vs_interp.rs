@@ -324,6 +324,52 @@ proptest! {
     }
 
     #[test]
+    fn sched_identity_branch_preserves_per_stream_fifo_order(
+        n_records in 1usize..48,
+        depth in 1usize..4,
+        handoff in prop_oneof![Just(1usize), Just(8), Just(32), Just(128)],
+    ) {
+        // `(add .. … .. add) | []` behind one more `add`: records with
+        // `{a}` take the box branch, the `{c}` records take `[]`. Both
+        // the dispatch and the `[]` run inside the sending chain's
+        // activation; records on each branch must still come out in
+        // the order they went in, at every hand-off batch size.
+        let net = NetSpec::serial(
+            add_box(),
+            NetSpec::parallel(vec![
+                NetSpec::pipeline((0..depth).map(|_| add_box())),
+                NetSpec::identity(),
+            ]),
+        );
+        let records: Vec<Record> = (0..n_records)
+            .map(|i| {
+                let label = if i % 3 == 0 { "c" } else { "a" };
+                Record::new()
+                    .with_tag("s", i as i64)
+                    .with_field(label, Value::Int(i as i64))
+            })
+            .collect();
+        let outs = SchedNet::with_config(
+            net,
+            EngineConfig { batch: handoff, ..EngineConfig::default() },
+        )
+        .run_batch(records)
+        .unwrap();
+        prop_assert_eq!(outs.len(), n_records);
+        for label in ["a", "c"] {
+            let seq: Vec<i64> = outs
+                .iter()
+                .filter(|r| r.field(label).is_some())
+                .map(|r| r.tag("s").expect("sequence tag survives"))
+                .collect();
+            let expected: Vec<i64> = (0..n_records as i64)
+                .filter(|s| (s % 3 == 0) == (label == "c"))
+                .collect();
+            prop_assert_eq!(seq, expected, "branch {{{}}} reordered", label);
+        }
+    }
+
+    #[test]
     fn streamed_sched_matches_batch_and_interp(
         net in arb_net(),
         batch in prop::collection::vec(arb_record(), 0..20),

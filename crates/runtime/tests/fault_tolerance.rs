@@ -422,6 +422,62 @@ fn unroutable_records_are_rejected_by_the_parallel_dispatcher() {
 }
 
 #[test]
+fn unroutable_records_are_rejected_by_a_parallel_inside_a_star() {
+    // `({a} -> {done} | {b} -> {done}) * {done}` fed a `{c}` record
+    // under the strict mismatch policy: the record is not the exit, so
+    // the first star tap hands it to the body, whose parallel has no
+    // branch for it. The scheduled engine dispatches inside the tap's
+    // own activation; FailFast must still fail the run with the
+    // TypeMismatch, and DeadLetter divert exactly that record as
+    // "par-dispatch" while the rest of the batch flows on.
+    use snet_core::semantics::MismatchPolicy;
+    use snet_core::{Pattern, Variant};
+    let net = NetSpec::star(
+        NetSpec::parallel(vec![
+            relabel_box("fa", "a", "done"),
+            relabel_box("fb", "b", "done"),
+        ]),
+        Pattern::from_variant(Variant::parse_labels(&["done"], &[])),
+    );
+    let stray = Record::new().with_field("c", Value::Int(2));
+    let batch = vec![
+        Record::new().with_field("a", Value::Int(1)),
+        stray.clone(),
+        Record::new().with_field("b", Value::Int(3)),
+    ];
+    let config = |policy| EngineConfig {
+        mismatch: MismatchPolicy::Error,
+        policy,
+        ..EngineConfig::default()
+    };
+
+    let err = SchedNet::with_config(net.clone(), config(FailurePolicy::FailFast))
+        .run_batch(batch.clone())
+        .unwrap_err();
+    assert!(matches!(err, SnetError::TypeMismatch { .. }), "{err:?}");
+
+    let report = SchedNet::with_config(net, config(FailurePolicy::DeadLetter))
+        .run_batch_report(batch)
+        .unwrap();
+    assert_eq!(
+        multiset(&report.outputs),
+        multiset(&[
+            Record::new().with_field("done", Value::Int(1)),
+            Record::new().with_field("done", Value::Int(3)),
+        ])
+    );
+    assert_eq!(report.dead_letters.len(), 1);
+    let dead = &report.dead_letters[0];
+    assert_eq!(dead.report.component, "par-dispatch");
+    assert_eq!(dead.record, stray);
+    assert!(
+        matches!(dead.report.cause, SnetError::TypeMismatch { .. }),
+        "{:?}",
+        dead.report.cause
+    );
+}
+
+#[test]
 fn streaming_dead_letters_arrive_on_the_handle() {
     let spec = FaultSpec::errors(0x0dead, 3, u32::MAX);
     let batch = inputs(30);

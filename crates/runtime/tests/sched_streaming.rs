@@ -11,11 +11,16 @@
 //!   streaming ingress must hold resident records at
 //!   `EngineConfig::channel_capacity`;
 //! * dropping a handle without `finish()` must neither deadlock nor
-//!   leak pool threads.
+//!   leak pool threads;
+//! * a root parallel or `[]` runs in its sender, yet ingress must stay
+//!   bounded by `channel_capacity`;
+//! * routing tasks and the sink used to ignore backpressure — records
+//!   resident in a streaming run must stay under a bound set by the
+//!   configuration, not grow with the run's length.
 
 use snet_core::boxdef::{BoxDef, BoxOutput, BoxSig, Work};
 use snet_core::{NetSpec, Record, SnetError, Value};
-use snet_runtime::{run_stream, EngineConfig, SchedNet, TrySendError};
+use snet_runtime::{run_stream, EngineConfig, Interp, SchedNet, TrySendError};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -234,6 +239,80 @@ fn slow_consumer_bounds_resident_records() {
     );
 }
 
+/// A root that runs in its sender — a parallel dispatcher or an
+/// identity filter `[]` — still streams through a bounded entry
+/// mailbox: a producer pushing far more than `channel_capacity`
+/// records against a throttled consumer never finds more than that
+/// many resident at ingress, and the outputs match the interpreter.
+#[test]
+fn inline_roots_keep_ingress_bounded_and_match_interp() {
+    let cap = 4;
+    let y_box = NetSpec::Box(BoxDef::from_fn(
+        BoxSig::parse("y", &["y"], &[&["y"]]),
+        |r| {
+            let y = r.field("y").and_then(|v| v.as_int()).unwrap_or(0);
+            Ok(BoxOutput::one(
+                Record::new().with_field("y", Value::Int(-y)),
+                Work::ops(1),
+            ))
+        },
+    ));
+    let records: Vec<Record> = (0..300)
+        .map(|i| {
+            let label = if i % 3 == 0 { "y" } else { "x" };
+            Record::new().with_field(label, Value::Int(i))
+        })
+        .collect();
+    for (name, spec) in [
+        (
+            "root parallel",
+            NetSpec::parallel(vec![int_box("inc", |x| x + 1), y_box]),
+        ),
+        ("root []", NetSpec::identity()),
+    ] {
+        let expected = Interp::new(&spec).run_batch(records.clone()).unwrap();
+        let net = SchedNet::with_config(
+            spec,
+            EngineConfig {
+                workers: 2,
+                channel_capacity: cap,
+                ..EngineConfig::default()
+            },
+        );
+        let h = net.start();
+        let max_backlog = AtomicUsize::new(0);
+        let mut outs = Vec::new();
+        std::thread::scope(|s| {
+            let (h, records) = (&h, records.clone());
+            s.spawn(move || {
+                for rec in records {
+                    h.send(rec).expect("network stays up");
+                }
+                h.close_input();
+            });
+            while let Some(r) = h.recv() {
+                outs.push(r);
+                if outs.len() % 16 == 0 {
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+                max_backlog.fetch_max(h.input_backlog(), Ordering::Relaxed);
+            }
+        });
+        h.finish().unwrap();
+        let multiset = |recs: &[Record]| {
+            let mut v: Vec<String> = recs.iter().map(|r| format!("{r:?}")).collect();
+            v.sort();
+            v
+        };
+        assert_eq!(multiset(&outs), multiset(&expected.outputs), "{name}");
+        let observed = max_backlog.load(Ordering::Relaxed);
+        assert!(
+            observed <= cap,
+            "{name}: entry mailbox reached {observed} resident records with capacity {cap}"
+        );
+    }
+}
+
 /// Dropping a handle without `finish()` — with input still open and
 /// outputs undelivered in a full output channel — must tear the run
 /// down without deadlocking a pool worker, and the pool must stay
@@ -287,5 +366,102 @@ fn tight_capacity_streaming_soak() {
     for round in 0..2 {
         let outs = run_stream(&net, recs(300)).unwrap();
         assert_eq!(xs(&outs), (8..308).collect::<Vec<_>>(), "round {round}");
+    }
+}
+
+/// A box taking `{x}` that spends `micros` of wall time per record,
+/// so a fast producer outruns it.
+fn slow_box(micros: u64) -> NetSpec {
+    NetSpec::Box(BoxDef::from_fn(
+        BoxSig::parse("slow", &["x"], &[&["x"]]),
+        move |r| {
+            std::thread::sleep(Duration::from_micros(micros));
+            Ok(BoxOutput::one(r.clone(), Work::ops(1)))
+        },
+    ))
+}
+
+/// Routing components and the sink must respect backpressure too.
+/// Each net runs for over a second behind a 200 µs box, fed by a
+/// producer that `try_send`s as fast as ingress admits and, whenever
+/// ingress is full, takes at most two outputs and pauses for a
+/// millisecond. Records resident in the network (`sent − received`)
+/// must stay under a bound set by the configuration: the ingress and
+/// egress channels plus, for every task, a mailbox at the high-water
+/// mark (`16 × channel_capacity`), as much again held as output (the
+/// sink's undelivered records), an activation's claimed batch and a
+/// batch of coalescing slop. A router that drains its
+/// input without looking at its targets (a root parallel, the
+/// parallel behind a box, a root split), or a sink that keeps pulling
+/// input while the consumer takes a few records at a time, lets this
+/// grow with the run's length instead.
+#[test]
+fn routing_and_sink_hold_resident_records_under_a_configured_bound() {
+    let cap = 4;
+    let batch = EngineConfig::default().batch;
+    let high_water = 16 * cap;
+    let per_task = 2 * high_water + 2 * batch;
+    let other = NetSpec::Box(BoxDef::from_fn(
+        BoxSig::parse("other", &["y"], &[&["y"]]),
+        |r| Ok(BoxOutput::one(r.clone(), Work::ops(1))),
+    ));
+    // Each net with the tasks it runs, the sink included.
+    let nets = [
+        (
+            "root parallel",
+            NetSpec::parallel(vec![slow_box(200), other.clone()]),
+            4,
+        ),
+        (
+            "box .. parallel",
+            NetSpec::serial(
+                int_box("inc", |x| x + 1),
+                NetSpec::parallel(vec![slow_box(200), other]),
+            ),
+            4,
+        ),
+        ("root split", NetSpec::split(slow_box(200), "k"), 4),
+    ];
+    for (name, spec, tasks) in nets {
+        let bound = 2 * cap + tasks * per_task;
+        let net = SchedNet::with_config(
+            spec,
+            EngineConfig {
+                workers: 2,
+                channel_capacity: cap,
+                ..EngineConfig::default()
+            },
+        );
+        let h = net.start();
+        let (mut sent, mut received, mut peak) = (0usize, 0usize, 0usize);
+        let t0 = Instant::now();
+        while t0.elapsed() < Duration::from_millis(1200) {
+            let rec = Record::new()
+                .with_field("x", Value::Int(sent as i64))
+                .with_tag("k", sent as i64 % 2);
+            match h.try_send(rec) {
+                Ok(()) => sent += 1,
+                Err(TrySendError::Full(_)) => {
+                    // A lagging consumer: a couple of records per pause.
+                    received += (0..2).filter(|_| h.try_recv().is_some()).count();
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Err(TrySendError::Closed(e)) => panic!("{name}: {e}"),
+            }
+            peak = peak.max(sent - received);
+            assert!(
+                peak <= bound,
+                "{name}: {peak} records resident after {:?}, over the bound of {bound} \
+                 (channel_capacity {cap}, high-water {high_water}, batch {batch})",
+                t0.elapsed()
+            );
+        }
+        h.close_input();
+        while h.recv().is_some() {
+            received += 1;
+        }
+        h.finish().unwrap();
+        assert_eq!(received, sent, "{name}: every record comes out");
+        eprintln!("{name}: {sent} records, peak {peak} resident (bound {bound})");
     }
 }
