@@ -33,10 +33,12 @@
 //!   up to a budget, and yields. Parallel dispatch and the identity
 //!   filter `[]` keep no state, so they are no tasks: the sending task
 //!   routes or forwards each record itself, in its own activation,
-//!   straight into the mailboxes behind them (a root that would run
-//!   in the sender gets a zero-stage chain as the run's entry task, so
-//!   ingress stays one bounded mailbox). End-of-stream is sender
-//!   refcounting, and a run's
+//!   straight into the mailboxes behind them. Where they would feed
+//!   another port run in the sender, a zero-stage chain task runs that
+//!   port instead, so each sender's copy is one component deep; a
+//!   root that would run in the sender gets one as the run's entry
+//!   task, so ingress stays one bounded mailbox. End-of-stream is
+//!   sender refcounting, and a run's
 //!   completion is wake-driven (the sink's finalization signals the
 //!   driver — no polling). [`SchedNet::start`] returns a
 //!   [`SchedHandle`] with *bounded ingress*: `send` blocks (and

@@ -14,6 +14,9 @@
 //!   leak pool threads;
 //! * a root parallel or `[]` runs in its sender, yet ingress must stay
 //!   bounded by `channel_capacity`;
+//! * a sender's copy of an inline parallel used to copy every inline
+//!   parallel after it — a pipeline of optional stages `(box | [])`
+//!   must build and run in time and space linear in its length;
 //! * routing tasks and the sink used to ignore backpressure — records
 //!   resident in a streaming run must stay under a bound set by the
 //!   configuration, not grow with the run's length.
@@ -311,6 +314,51 @@ fn inline_roots_keep_ingress_bounded_and_match_interp() {
             "{name}: entry mailbox reached {observed} resident records with capacity {cap}"
         );
     }
+}
+
+/// `(inc | []) .. (inc | []) .. ..`, the S-Net idiom for a pipeline of
+/// optional stages: 24 of them build and run promptly, streamed and in
+/// batch, and match the interpreter. A sender's copy of an inline
+/// dispatcher used to carry a copy of every dispatcher after it, so
+/// the ports built at start doubled with every stage.
+#[test]
+fn a_long_pipeline_of_optional_stages_builds_and_runs_promptly() {
+    let spec = NetSpec::pipeline(
+        (0..24).map(|_| NetSpec::parallel(vec![int_box("inc", |x| x + 1), NetSpec::identity()])),
+    );
+    let records: Vec<Record> = (0..200)
+        .map(|i| {
+            let label = if i % 4 == 0 { "y" } else { "x" };
+            Record::new().with_field(label, Value::Int(i))
+        })
+        .collect();
+    let multiset = |recs: &[Record]| {
+        let mut v: Vec<String> = recs.iter().map(|r| format!("{r:?}")).collect();
+        v.sort();
+        v
+    };
+    let expected = multiset(
+        &Interp::new(&spec)
+            .run_batch(records.clone())
+            .unwrap()
+            .outputs,
+    );
+    let net = SchedNet::with_config(
+        spec,
+        EngineConfig {
+            workers: 2,
+            channel_capacity: 4,
+            ..EngineConfig::default()
+        },
+    );
+    let t0 = Instant::now();
+    assert_eq!(
+        multiset(&run_stream(&net, records.clone()).unwrap()),
+        expected
+    );
+    assert_eq!(multiset(&net.run_batch(records).unwrap()), expected);
+    let took = t0.elapsed();
+    assert!(took < Duration::from_secs(10), "two runs took {took:?}");
 }
 
 /// Dropping a handle without `finish()` — with input still open and
